@@ -15,6 +15,7 @@ from .braid import (
     NormalForm,
     Word,
     concat,
+    conjugacy_class,
     conjugate_by,
     exponent_sum,
     format_word,
@@ -25,7 +26,6 @@ from .braid import (
     normal_form,
     parse_word,
     reverse,
-    super_summit_set,
     surgery_twist,
 )
 from .classify import (

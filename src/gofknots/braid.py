@@ -7,9 +7,13 @@ sigma_1 is the half twist, and the s_i are the six permutation braids
 {e, sigma_1, sigma_2, sigma_1 sigma_2, sigma_2 sigma_1, Delta} restricted to
 exclude e and Delta, with each adjacent pair (s, t) left weighted (no
 generator can move from the front of t to the end of s keeping both simple).
-Normal forms solve the word problem; conjugacy is decided by cycling and
-decycling into the super summit set and closing it up under conjugation by
-simples.
+Normal forms solve the word problem.
+
+Conjugacy is decided by Murasugi's classification of closed 3-braids: reduced
+Burau at -1 maps B3 onto SL2(Z) with kernel <Delta^4>, and Delta^4 has
+exponent sum 12, so two braids are conjugate exactly when their exponent sums
+agree and their Burau images are conjugate in SL2(Z).  The SL2(Z) class is
+read off the fixed-point quadratic form of the image.
 
 The six simples biject with the symmetric group S3, so all structural tables
 (products, maximal transferable prefixes, the Delta-conjugation flip) are
@@ -21,7 +25,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from math import gcd, isqrt
 from typing import Iterable
+
+from .cover import burau_matrix
 
 Word = tuple[int, ...]
 
@@ -100,10 +107,9 @@ def _build_renorm():
 
     The transferable prefixes of y that keep x * u simple are closed under
     join, so there is a unique maximal one; the pair is left weighted exactly
-    when that maximum is trivial.
+    when that maximum is trivial, i.e. when the transfer leaves x unchanged.
     """
     renorm = [[None] * 6 for _ in range(6)]
-    normal = [[False] * 6 for _ in range(6)]
     for x, y in itertools.product(range(6), range(6)):
         candidates = []
         for u in range(6):
@@ -119,11 +125,10 @@ def _build_renorm():
         assert len(best) == 1, f"maximal transfer not unique for pair ({x}, {y})"
         u, xu, quot = best[0]
         renorm[x][y] = (xu, quot)
-        normal[x][y] = u == E
-    return tuple(map(tuple, renorm)), tuple(map(tuple, normal))
+    return tuple(map(tuple, renorm))
 
 
-_RENORM, _NORMAL = _build_renorm()
+_RENORM = _build_renorm()
 
 # tau commutes with renormalisation (needed for moving Delta powers around)
 for _x, _y in itertools.product(range(6), range(6)):
@@ -226,18 +231,6 @@ class NormalForm:
     factors: tuple[int, ...]
 
     @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
-    @property
-    def inf(self) -> int:
-        return self.delta_power
-
-    @property
-    def sup(self) -> int:
-        return self.delta_power + len(self.factors)
-
-    @property
     def exponent_sum(self) -> int:
         return 3 * self.delta_power + sum(_LEN[f] for f in self.factors)
 
@@ -286,40 +279,6 @@ def _normalize_factors(factors: list[int]) -> tuple[int, tuple[int, ...]]:
     return _strip(factors)
 
 
-def _merge(left: list[int], right: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Product of two already left weighted sequences.
-
-    Violations start at the junction and propagate backwards; combing each
-    one back keeps everything to the left weighted, so a single sweep from
-    the junction suffices.
-    """
-    if not left or not right or _NORMAL[left[-1]][right[0]]:
-        return _strip(left + right)
-    factors = left + right
-    for i in range(len(left) - 1, len(factors) - 1):
-        a, b = _RENORM[factors[i]][factors[i + 1]]
-        if a == factors[i]:
-            break
-        factors[i], factors[i + 1] = a, b
-        for j in range(i - 1, -1, -1):
-            a, b = _RENORM[factors[j]][factors[j + 1]]
-            if a == factors[j]:
-                break
-            factors[j], factors[j + 1] = a, b
-    return _strip(factors)
-
-
-def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
-    """Group multiplication on normal forms.
-
-    The Delta power of y passes left through the factors of x, twisting them
-    by tau when it is odd.
-    """
-    left = list(x.factors) if y.delta_power % 2 == 0 else [_TAU[f] for f in x.factors]
-    carry, factors = _merge(left, list(y.factors))
-    return NormalForm(x.delta_power + y.delta_power + carry, factors)
-
-
 def normal_form(word: Word) -> NormalForm:
     """The unique left weighted normal form of a word."""
     factors: list[int] = []
@@ -347,103 +306,64 @@ def is_equal(w1: Word, w2: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy via the super summit set
+# conjugacy via the SL2(Z) class of the Burau image
 # ---------------------------------------------------------------------------
 
-_SIMPLE_NF = {s: NormalForm(0, (s,)) for s in (S1, S2, S12, S21)}
-_SIMPLE_NF[DELTA] = NormalForm(1, ())
-_SIMPLE_INV_NF = {s: NormalForm(-1, (_LEFT_COMP[s],)) for s in (S1, S2, S12, S21)}
-_SIMPLE_INV_NF[DELTA] = NormalForm(-1, ())
+def _rho(form: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, int]:
+    """Gauss reduction step (a, b, c) -> (c, b', (b'^2 - disc) / 4c), where
+    b' = -b mod 2|c| lies in (-|c|, |c|] if |c| > sqrt(disc), and in
+    (sqrt(disc) - 2|c|, sqrt(disc)) otherwise."""
+    _, b, c = form
+    top = max(abs(c), root)
+    b2 = top - (top + b) % (2 * abs(c))
+    return (c, b2, (b2 * b2 - disc) // (4 * c))
 
 
-def _cycle(v: NormalForm) -> NormalForm:
-    """Cycling: conjugate by tau^-d(f_1), giving Delta^d f_2 .. f_l tau^-d(f_1).
+def _least_in_cycle(form: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The least form of the reduction cycle of an indefinite form whose
+    discriminant is not a square; properly equivalent forms share the cycle."""
+    a, b, c = form
+    disc = b * b - 4 * a * c
+    root = isqrt(disc)
+    while not (0 < b <= root and root - b < 2 * abs(a) <= root + b):
+        a, b, c = form = _rho(form, disc, root)
+    least = start = form
+    form = _rho(start, disc, root)
+    while form != start:
+        least = min(least, form)
+        form = _rho(form, disc, root)
+    return least
 
-    Neither cycling nor decycling can lower inf or raise sup, since the
-    result is again Delta^d times l permutation braids.
+
+def conjugacy_class(word: Word) -> tuple:
+    """A complete conjugacy invariant: (exponent sum, trace, form class).
+
+    Conjugating the Burau image M = [[a, b], [c, d]] by U in SL2(Z) moves its
+    fixed-point form (c, d - a, -b), of discriminant trace^2 - 4, by the
+    proper equivalence U^-1, and the trace and the form give M back, so the
+    SL2(Z) class of M is its trace with the proper class of the form:
+
+      * |trace| = 2: every form is k (p x + q y)^2, classified by the signed
+        content k; M = +-I gives the zero form;
+      * |trace| < 2: the form is definite of discriminant -3 or -4, which
+        have one proper class of each sign, so the sign is the class;
+      * |trace| >= 3: trace^2 - 4 is not a square; the least form in the
+        reduction cycle, which carries the content.
     """
-    if not v.factors:
-        return v
-    head, tail = v.factors[0], v.factors[1:]
-    if v.delta_power % 2:
-        head = _TAU[head]
-    return nf_mul(NormalForm(v.delta_power, tail), _SIMPLE_NF[head])
-
-
-def _decycle(v: NormalForm) -> NormalForm:
-    """Decycling: conjugate by f_l, giving f_l Delta^d f_1 .. f_{l-1}."""
-    if not v.factors:
-        return v
-    body, last = v.factors[:-1], v.factors[-1]
-    return nf_mul(_SIMPLE_NF[last], NormalForm(v.delta_power, body))
-
-
-def _better(a: NormalForm, b: NormalForm) -> bool:
-    return a.inf > b.inf or a.sup < b.sup
-
-
-def _orbit_improve(v: NormalForm, step) -> tuple[NormalForm, bool]:
-    """Iterate step until it strictly improves (inf, -sup) or the orbit closes.
-
-    Cycling and decycling are deterministic, so revisiting a normal form with
-    no improvement seen means none is available along this orbit.
-    """
-    seen = set()
-    u = v
-    while u not in seen:
-        seen.add(u)
-        u = step(u)
-        if _better(u, v):
-            return u, True
-    return v, False
-
-
-def _summit_representative(v: NormalForm) -> NormalForm:
-    while True:
-        v, cycled = _orbit_improve(v, _cycle)
-        v, decycled = _orbit_improve(v, _decycle)
-        if not (cycled or decycled):
-            return v
-
-
-def _conjugates_by_simples(v: NormalForm):
-    for s in (S1, S2, S12, S21, DELTA):
-        yield nf_mul(nf_mul(_SIMPLE_INV_NF[s], v), _SIMPLE_NF[s])
-        yield nf_mul(nf_mul(_SIMPLE_NF[s], v), _SIMPLE_INV_NF[s])
-
-
-def _summit_closure(v: NormalForm) -> frozenset[NormalForm]:
-    # close under conjugation by simples, restarting if anything beats (inf, sup)
-    while True:
-        seen = {v}
-        stack = [v]
-        restart = None
-        while stack and restart is None:
-            u = stack.pop()
-            for c in _conjugates_by_simples(u):
-                if _better(c, v):
-                    restart = c
-                    break
-                if (c.inf, c.sup) == (v.inf, v.sup) and c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        if restart is None:
-            return frozenset(seen)
-        v = _summit_representative(restart)
-
-
-def super_summit_set(word: Word) -> frozenset[NormalForm]:
-    """All conjugates of minimal canonical length and maximal Delta power."""
-    return _summit_closure(_summit_representative(normal_form(word)))
+    word = check_word(word)
+    m = burau_matrix(word)
+    trace = m.trace
+    form = (m.c, m.d - m.a, -m.b)
+    if abs(trace) == 2:
+        content = gcd(gcd(form[0], form[1]), form[2])
+        form_class = content if (form[0] or form[2]) >= 0 else -content
+    elif abs(trace) < 2:
+        form_class = 1 if form[0] > 0 else -1
+    else:
+        form_class = _least_in_cycle(form)
+    return (exponent_sum(word), trace, form_class)
 
 
 def is_conjugate(w1: Word, w2: Word) -> bool:
-    """Conjugacy decision: summit sets of conjugate elements coincide and of
-    non-conjugate elements are disjoint, so one membership test settles it."""
-    nf1, nf2 = normal_form(w1), normal_form(w2)
-    if nf1 == nf2:
-        return True
-    if nf1.exponent_sum != nf2.exponent_sum:
-        return False
-    target = _summit_representative(nf2)
-    return target in _summit_closure(_summit_representative(nf1))
+    """Conjugacy decision: the two conjugacy_class invariants coincide."""
+    return conjugacy_class(w1) == conjugacy_class(w2)

@@ -21,8 +21,9 @@ representatives of b(alpha, beta).  The decision tree:
     sigma_1^p sigma_2^2 sigma_1^-(q+1) sigma_2^-1 (family two).
 
 No fraction ever yields more than three axes.  Closures of arbitrary words
-are identified by computing the determinant |det(M - I)| and testing
-conjugacy (up to mirror) against every witness with that determinant.
+are identified by computing the determinant |det(M - I)| and comparing the
+conjugacy invariant of the word and of its mirror (exponent sum and SL2(Z)
+class of the Burau image) with that of every witness with that determinant.
 """
 
 from __future__ import annotations
@@ -247,23 +248,21 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
     Computes alpha = |det(M - I)| and walks every witness of every canonical
-    fraction with that determinant, returning the first one conjugate to the
-    word or to its mirror.  None means the closure is not realised by any
-    witness (it need not be two-bridge at all).
+    fraction with that determinant, returning the first one whose conjugacy
+    class (braid.conjugacy_class) is that of the word or of its mirror.  None
+    means the closure is not realised by any witness (it need not be
+    two-bridge at all).
     """
     word = braid.check_word(word)
     alpha = cover.closure_determinant(word)
-    variants = (
-        (False, word, braid.exponent_sum(word), cover.burau_matrix(word).trace),
-        (True, braid.mirror(word), -braid.exponent_sum(word), cover.burau_matrix(braid.mirror(word)).trace),
+    targets = (
+        (False, braid.conjugacy_class(word)),
+        (True, braid.conjugacy_class(braid.mirror(word))),
     )
     for f in canonical_fractions(alpha):
         for witness in identification_candidates(f):
-            w_exp = braid.exponent_sum(witness.word)
-            w_tr = cover.burau_matrix(witness.word).trace
-            for mirrored, target, t_exp, t_tr in variants:
-                if t_exp != w_exp or t_tr != w_tr:
-                    continue
-                if braid.is_conjugate(target, witness.word):
+            key = braid.conjugacy_class(witness.word)
+            for mirrored, target in targets:
+                if key == target:
                     return ClosureId(f, mirrored, witness.word)
     return None

@@ -20,6 +20,9 @@ import sys
 
 from . import braid, classify, cover, twobridge, verify
 
+# longest word `braid twist` will print; each twist count step adds 12 letters
+MAX_TWIST_LETTERS = 1_000_000
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
@@ -137,6 +140,12 @@ def _run_braid(argv: list[str]) -> int:
             print(f"error: invalid twist count {rest[0]!r}", file=sys.stderr)
             return 1
         word = _parse_braid_word(rest[1:])
+        if len(word) + 12 * abs(n) > MAX_TWIST_LETTERS:
+            print(
+                f"error: twist count {rest[0]!r} gives more than {MAX_TWIST_LETTERS} letters",
+                file=sys.stderr,
+            )
+            return 1
         _emit({"word": list(braid.surgery_twist(word, n))})
         return 0
     word = _parse_braid_word(rest)

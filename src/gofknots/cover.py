@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
-
-from .braid import Word, check_word
+from typing import Iterable, NamedTuple
 
 
 class InvalidSlopeError(ValueError):
@@ -60,16 +58,19 @@ BURAU_GEN = {
 }
 
 
-def burau_matrix(word: Word) -> Matrix2:
+def burau_matrix(word: Iterable[int]) -> Matrix2:
     """Image of a braid word under reduced Burau at -1 (multiplicative)."""
     a, b, c, d = 1, 0, 0, 1
-    for k in check_word(word):
-        e, f, g, h = BURAU_GEN[k]
+    for k in word:
+        try:
+            e, f, g, h = BURAU_GEN[k]
+        except (KeyError, TypeError):
+            raise ValueError(f"invalid braid letter {k!r}") from None
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return Matrix2(a, b, c, d)
 
 
-def closure_determinant(word: Word) -> int:
+def closure_determinant(word: Iterable[int]) -> int:
     """|det(M - I)|: the determinant of the closure of the braid."""
     m = burau_matrix(word)
     return abs((m.a - 1) * (m.d - 1) - m.b * m.c)
@@ -99,7 +100,7 @@ def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return (g, det // g)
 
 
-def dbc_homology(word: Word) -> HomologyClass:
+def dbc_homology(word: Iterable[int]) -> HomologyClass:
     """First homology of the double cover branched over the closure."""
     m = burau_matrix(word)
     return HomologyClass(_smith_2x2(m.a - 1, m.b, m.c, m.d - 1))

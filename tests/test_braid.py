@@ -8,14 +8,24 @@ from hypothesis import strategies as st
 from gofknots import braid as B
 from gofknots import cover
 
+import garside_oracle as O
+
 words = st.lists(st.sampled_from(B.LETTERS), max_size=18).map(tuple)
 short_words = st.lists(st.sampled_from(B.LETTERS), max_size=10).map(tuple)
 
 
+def _all_words(max_len):
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (g,) for w in frontier for g in B.LETTERS]
+        out.extend(frontier)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# an independent certificate of non-conjugacy, used to cross-examine the
-# Garside engine: conjugate braids have equal exponent sums and SL2(Z)
-# conjugate Burau images, and SL2(Z) conjugate hyperbolic matrices have
+# a certificate of non-conjugacy written apart from braid.conjugacy_class,
+# used to cross-examine it: conjugate braids have equal exponent sums and
+# SL2(Z) conjugate Burau images, and SL2(Z) conjugate hyperbolic matrices have
 # properly equivalent fixed-point forms, hence identical reduction cycles.
 # ---------------------------------------------------------------------------
 
@@ -162,11 +172,11 @@ class TestNormalForm:
 
     @given(words, words)
     def test_nf_mul_matches_concatenation(self, w1, w2):
-        assert B.nf_mul(B.normal_form(w1), B.normal_form(w2)) == B.normal_form(B.concat(w1, w2))
+        assert O.nf_mul(B.normal_form(w1), B.normal_form(w2)) == B.normal_form(B.concat(w1, w2))
 
     def test_nf_mul_exhaustive_small(self):
         follow = {
-            s: [t for t in (B.S1, B.S2, B.S12, B.S21) if B._NORMAL[s][t]]
+            s: [t for t in (B.S1, B.S2, B.S12, B.S21) if O.left_weighted(s, t)]
             for s in (B.S1, B.S2, B.S12, B.S21)
         }
         seqs = [()]
@@ -180,29 +190,31 @@ class TestNormalForm:
             for fb in seqs:
                 for da, db in ((0, 0), (1, 0), (0, -1), (-1, 1)):
                     x, y = B.NormalForm(da, fa), B.NormalForm(db, fb)
-                    assert B.nf_mul(x, y) == B.normal_form(x.to_word() + y.to_word())
+                    assert O.nf_mul(x, y) == B.normal_form(x.to_word() + y.to_word())
 
 
 class TestCyclingDecycling:
+    # the Garside engine of the test oracle, checked in its own terms
+
     @given(words)
     def test_steps_are_conjugations(self, w):
         v = B.normal_form(w)
         if not v.factors:
             return
-        c = B._cycle(v)
+        c = O.cycle(v)
         head = v.factors[0] if v.delta_power % 2 == 0 else B._TAU[v.factors[0]]
         a = B.SIMPLE_WORDS[head]
         assert B.is_equal(a + c.to_word(), v.to_word() + a)
-        d = B._decycle(v)
+        d = O.decycle(v)
         b = B.SIMPLE_WORDS[v.factors[-1]]
         assert B.is_equal(d.to_word() + b, b + v.to_word())
 
     @given(words)
     def test_steps_never_worsen(self, w):
         v = B.normal_form(w)
-        for step in (B._cycle, B._decycle):
+        for step in (O.cycle, O.decycle):
             u = step(v)
-            assert u.inf >= v.inf and u.sup <= v.sup
+            assert O.inf(u) >= O.inf(v) and O.sup(u) <= O.sup(v)
 
 
 class TestConjugacy:
@@ -282,18 +294,13 @@ class TestConjugacyExhaustiveSweep:
     def test_short_word_class_structure(self):
         # partition all words of length <= 4 into classes by summit set and
         # check the partition behaves like conjugacy should
-        words_by_len = [()]
-        frontier = [()]
-        for _ in range(4):
-            frontier = [w + (g,) for w in frontier for g in B.LETTERS]
-            words_by_len.extend(frontier)
-        keys = {w: B.super_summit_set(w) for w in words_by_len}
+        keys = {w: O.super_summit_set(w) for w in _all_words(4)}
         for w, key in keys.items():
             # closed under rotation and generator conjugation
             for k in range(1, len(w)):
                 assert keys[w[k:] + w[:k]] == key
             for g in B.LETTERS:
-                assert B.super_summit_set(B.conjugate_by(w, (g,))) == key
+                assert O.super_summit_set(B.conjugate_by(w, (g,))) == key
         # class invariants are constant
         classes = {}
         for w, key in keys.items():
@@ -309,23 +316,103 @@ class TestConjugacyExhaustiveSweep:
                 assert not B.is_conjugate(w1, w2)
 
 
+D2, D4 = B.FULL_TWIST, B.FULL_TWIST * 2
+
+# one case per branch of conjugacy_class: a word, a conjugate of it, and a
+# non-conjugate word of the same exponent sum and trace.  Each non-conjugate
+# partner differs from the word only in what its branch must keep: the sign
+# of the parabolic content, the zero form of +-I, or the sign of an
+# indefinite form of content 2 (the third word's form is properly equivalent
+# to minus the first word's).  Each conjugate partner has another fixed-point
+# form, which only a full reduction brings back; the indefinite one first
+# reaches another member of the reduction cycle.
+BRANCH_CASES = {
+    "parabolic trace 2": ((1,) * 6, (2,) * 6, (-1,) * 6 + D4),
+    "parabolic trace -2": ((1,) * 6 + D2, (2,) * 6 + D2, (-1,) * 6 + D2 * 3),
+    "central Delta^2, M = -I": (D2, (2, 1) * 3, (1,) * 12 + B.invert(D2)),
+    "central Delta^4, M = I": (D4, (2, 1) * 6, (1,) * 12),
+    "indefinite non-primitive": (
+        (1, 1, 1, -2, -2, 1, -2, -2),
+        B.conjugate_by((1, 1, 1, -2, -2, 1, -2, -2), (1, 2)),
+        (1, 1, -2, 1, 1, -2, -2, -2),
+    ),
+}
+
+# definite images (|trace| < 2)
+DEFINITE_CASES = {
+    "trace 0": B.HALF_TWIST,
+    "trace 1": (1, 2),
+    "trace -1": (1, 2) + D2,
+}
+
+
+@st.composite
+def word_pairs(draw):
+    """Pairs of short words, half of them a word and a rotated conjugate."""
+    w1 = draw(short_words)
+    if not draw(st.booleans()):
+        return w1, draw(short_words)
+    w2 = B.conjugate_by(w1, draw(short_words))
+    k = draw(st.integers(min_value=0, max_value=max(len(w2) - 1, 0)))
+    return w1, w2[k:] + w2[:k]
+
+
+class TestConjugacyClass:
+    def test_partition_matches_summit_sets(self):
+        by_key, by_summit = {}, {}
+        for w in _all_words(5):
+            by_key.setdefault(B.conjugacy_class(w), set()).add(w)
+            by_summit.setdefault(O.super_summit_set(w), set()).add(w)
+        as_partition = lambda classes: sorted(sorted(ws) for ws in classes.values())
+        assert len(by_key) == len(by_summit) == 38
+        assert as_partition(by_key) == as_partition(by_summit)
+
+    @given(word_pairs())
+    @settings(max_examples=300)
+    def test_agrees_with_summit_set_oracle(self, pair):
+        w1, w2 = pair
+        assert B.is_conjugate(w1, w2) == O.is_conjugate(w1, w2)
+
+    @pytest.mark.parametrize("name", list(BRANCH_CASES))
+    def test_branch_cases(self, name):
+        word, conjugate, other = BRANCH_CASES[name]
+        key = B.conjugacy_class(word)
+        assert O.is_conjugate(word, conjugate) and not O.is_conjugate(word, other)
+        assert B.conjugacy_class(conjugate) == key
+        assert B.conjugacy_class(other)[:2] == key[:2]
+        assert B.conjugacy_class(other) != key
+
+    @pytest.mark.parametrize("name", list(DEFINITE_CASES))
+    def test_definite_cases(self, name):
+        # SL2(Z) abelianises onto Z/12 by the exponent sum mod 12, and that
+        # separates the two sign classes of each definite trace, so no
+        # non-conjugate partner of equal exponent sum and trace exists; the
+        # sign is checked on the inverse, whose form is minus the word's
+        word = DEFINITE_CASES[name]
+        conjugate = B.conjugate_by(word, (1, 1, 1, -2, -2))
+        assert O.is_conjugate(word, conjugate)
+        e, trace, sign = B.conjugacy_class(word)
+        assert B.conjugacy_class(conjugate) == (e, trace, sign)
+        assert B.conjugacy_class(B.invert(word)) == (-e, trace, -sign)
+
+
 class TestSummitSets:
     @given(short_words)
     @settings(max_examples=150)
     def test_uniform_inf_sup(self, w):
-        sss = B.super_summit_set(w)
-        infs = {v.inf for v in sss}
-        sups = {v.sup for v in sss}
+        sss = O.super_summit_set(w)
+        infs = {O.inf(v) for v in sss}
+        sups = {O.sup(v) for v in sss}
         assert len(infs) == 1 and len(sups) == 1
 
     @given(short_words, short_words)
     @settings(max_examples=100)
     def test_conjugates_share_summit_set(self, w, u):
-        assert B.super_summit_set(w) == B.super_summit_set(B.conjugate_by(w, u))
+        assert O.super_summit_set(w) == O.super_summit_set(B.conjugate_by(w, u))
 
     def test_delta_powers_are_singletons(self):
-        assert B.super_summit_set(B.HALF_TWIST) == frozenset({B.NormalForm(1, ())})
-        assert B.super_summit_set(B.FULL_TWIST) == frozenset({B.NormalForm(2, ())})
+        assert O.super_summit_set(B.HALF_TWIST) == frozenset({B.NormalForm(1, ())})
+        assert O.super_summit_set(B.FULL_TWIST) == frozenset({B.NormalForm(2, ())})
 
 
 class TestSurgeryTwist:

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from gofknots import verify
+from gofknots import cli, verify
 from gofknots.cli import run
 
 
@@ -116,6 +117,23 @@ class TestBraidCommands:
         code, doc = run_json(capsys, ["braid", "identify", *tokens])
         assert code == 0
         assert doc["fraction"] == [5, 1] and doc["mirrored"] is True
+
+    def test_huge_twist_count_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run(["braid", "twist", "1000000000", "1"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'1000000000'" in captured.err
+
+    def test_twist_letter_limit_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TWIST_LETTERS", 100)
+        # 4 + 12 * 8 = 100 letters fit; 4 + 12 * 9 = 112 do not
+        for n in ("8", "-8"):
+            code, doc = run_json(capsys, ["braid", "twist", n, "1", "2", "1", "2"])
+            assert code == 0 and len(doc["word"]) == 100
+        for n in ("9", "-9"):
+            assert run(["braid", "twist", n, "1", "2", "1", "2"]) == 1
+            assert repr(n) in capsys.readouterr().err
 
     def test_parse_error_exit_1(self, capsys):
         assert run(["braid", "nf", "3"]) == 1
