@@ -36,14 +36,13 @@ def main() -> None:
     histogram = Counter()
     triples = []
     families = []
-    for alpha in range(0, args.max + 1):
-        for f in classify.canonical_fractions(alpha):
-            report = classify.axis_classes(f.alpha, f.beta)
-            histogram[report.count] += 1
-            if report.count == 3:
-                triples.append(f.pair)
-            if report.family is not None and report.count == 1:
-                families.append((f.pair, report.family, report.witnesses[0].word))
+    for report in classify.census(args.max):
+        pair = report.fraction.pair
+        histogram[report.count] += 1
+        if report.count == 3:
+            triples.append(pair)
+        if report.family is not None and report.count == 1:
+            families.append((pair, report.family, report.witnesses[0].word))
     elapsed = time.perf_counter() - t0
 
     total = sum(histogram.values())

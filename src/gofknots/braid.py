@@ -180,7 +180,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(word: Word) -> str:
-    return " ".join(str(k) for k in word)
+    return " ".join(map(str, word))
 
 
 def exponent_sum(word: Word) -> int:

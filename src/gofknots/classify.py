@@ -155,15 +155,24 @@ def _torus_pair(alpha: int) -> tuple[Witness, Witness]:
 def family_hits(alpha: int, orbit: frozenset[int]) -> list[FamilyParams]:
     """Family solutions over the odd orbit members, preferred hit first.
 
+    Family one, alpha = 2pq + p + q, is 2*alpha + 1 = (2p + 1)(2q + 1), and
+    family two is 2*alpha - 1 = (2p + 1)(2q + 1).  So an odd member
+    d = 2q + 1 >= 3 is a hit exactly when it divides 2*alpha + 1, or else
+    2*alpha - 1, with a cofactor 2p + 1 >= 3: the equations that
+    family_membership solves, read off one division each.
     All hits describe the same axis class, so the order only picks the
     printed witness: solutions with odd q come first (for odd alpha the two
     mates (p,q) and (q,p) split one odd, one even), then by orbit member.
     """
+    one, two = 2 * alpha + 1, 2 * alpha - 1
     hits = []
-    for beta_star in sorted(b for b in orbit if b % 2 == 1):
-        params = family_membership(alpha, beta_star)
-        if params is not None:
-            hits.append(params)
+    for d in sorted(orbit):
+        if d < 3 or d % 2 == 0:
+            continue
+        if one % d == 0 and one >= 3 * d:
+            hits.append(FamilyParams(FAMILY_ONE, (one // d - 1) // 2, (d - 1) // 2))
+        elif two % d == 0 and two >= 3 * d:
+            hits.append(FamilyParams(FAMILY_TWO, (two // d - 1) // 2, (d - 1) // 2))
     hits.sort(key=lambda fp: (fp.q % 2 == 0, fp.beta_star))
     return hits
 
@@ -214,12 +223,21 @@ def canonical_fractions(alpha: int) -> Iterator[Fraction]:
     if alpha == 1:
         yield Fraction(1, 1)
         return
+    # beta <= alpha // 2 is already at most alpha - beta, so beta is the
+    # orbit minimum exactly when it is at most both +-beta^-1 mod alpha
     for beta in range(1, alpha // 2 + 1):
         if gcd(beta, alpha) != 1:
             continue
-        f = twobridge.canonical(alpha, beta)
-        if f.beta == beta:
-            yield f
+        inv = pow(beta, -1, alpha)
+        if beta <= inv and beta <= alpha - inv:
+            yield twobridge._trusted(alpha, beta)
+
+
+def census(max_alpha: int) -> Iterator[AxisReport]:
+    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order."""
+    for alpha in range(0, max_alpha + 1):
+        for f in canonical_fractions(alpha):
+            yield axis_classes(f.alpha, f.beta)
 
 
 def identification_candidates(f: Fraction) -> Iterator[Witness]:

@@ -89,20 +89,28 @@ def _cmd_conway(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = []
-    for alpha in range(0, args.max + 1):
-        for f in classify.canonical_fractions(alpha):
-            report = classify.axis_classes(f.alpha, f.beta)
-            rows.append((f.alpha, f.beta, report.count, [list(w.word) for w in report.witnesses]))
+    # rows are written as they are classified; the JSON separators are the
+    # ones json.dumps puts between list items, so the array reads the same
+    out = sys.stdout
     if args.format == "json":
-        _emit([
-            {"alpha": a, "beta": b, "count": c, "witnesses": ws}
-            for a, b, c, ws in rows
-        ])
+        out.write("[")
+        sep = ""
+        for report in classify.census(args.max):
+            f = report.fraction
+            row = {
+                "alpha": f.alpha,
+                "beta": f.beta,
+                "count": report.count,
+                "witnesses": [list(w.word) for w in report.witnesses],
+            }
+            out.write(sep + json.dumps(row))
+            sep = ", "
+        out.write("]\n")
     else:
-        for a, b, c, ws in rows:
-            words = ";".join(braid.format_word(tuple(w)) for w in ws)
-            print(f"{a}\t{b}\t{c}\t{words}")
+        for report in classify.census(args.max):
+            f = report.fraction
+            words = ";".join(braid.format_word(w.word) for w in report.witnesses)
+            out.write(f"{f.alpha}\t{f.beta}\t{report.count}\t{words}\n")
     return 0
 
 
@@ -222,7 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suites")
     p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument(
+        "--max",
+        type=int,
+        default=None,
+        help="bound of the selected suite; with --suite all, only the alpha bound "
+        "of the counts and orientation suites",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

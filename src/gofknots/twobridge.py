@@ -39,13 +39,7 @@ class Fraction:
     beta: int
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidFractionError(f"alpha must be non-negative, got {self.alpha}")
-        # gcd(0, x) = |x|, so alpha = 0 forces beta = +-1
-        if math.gcd(self.alpha, abs(self.beta)) != 1:
-            raise InvalidFractionError(
-                f"gcd({self.alpha}, {self.beta}) != 1: not a two-bridge fraction"
-            )
+        _check(self.alpha, self.beta)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -56,6 +50,26 @@ class Fraction:
 
     def is_canonical(self) -> bool:
         return self == self.canonical()
+
+
+def _check(alpha: int, beta: int) -> None:
+    if alpha < 0:
+        raise InvalidFractionError(f"alpha must be non-negative, got {alpha}")
+    # gcd(0, x) = |x|, so alpha = 0 forces beta = +-1
+    if math.gcd(alpha, abs(beta)) != 1:
+        raise InvalidFractionError(f"gcd({alpha}, {beta}) != 1: not a two-bridge fraction")
+
+
+def _trusted(alpha: int, beta: int) -> Fraction:
+    """A Fraction whose gcd the caller has already checked; skips __post_init__.
+
+    Sets the fields as the generated frozen __init__ does, so the result
+    compares, hashes and orders like Fraction(alpha, beta).
+    """
+    f = object.__new__(Fraction)
+    object.__setattr__(f, "alpha", alpha)
+    object.__setattr__(f, "beta", beta)
+    return f
 
 
 def _as_fraction(f) -> Fraction:
@@ -77,14 +91,14 @@ def canonical(alpha: int, beta: int) -> Fraction:
     if alpha == 0:
         if abs(beta) != 1:
             raise InvalidFractionError(f"(0, {beta}) is invalid: beta must be +-1")
-        return Fraction(0, 1)
+        return _trusted(0, 1)
     if alpha == 1:
-        return Fraction(1, 1)
+        return _trusted(1, 1)
     b = beta % alpha
     if math.gcd(alpha, b) != 1:
         raise InvalidFractionError(f"gcd({alpha}, {beta}) != 1: not a two-bridge fraction")
     inv = pow(b, -1, alpha)
-    return Fraction(alpha, min(b, inv, alpha - b, alpha - inv))
+    return _trusted(alpha, min(b, inv, alpha - b, alpha - inv))
 
 
 def orbit(alpha: int, beta: int, oriented: bool = False, mirror: bool = True) -> frozenset[int]:
@@ -94,15 +108,13 @@ def orbit(alpha: int, beta: int, oriented: bool = False, mirror: bool = True) ->
     Oriented orbits require odd beta (the odd Schubert normal form is the
     only one the mod-2*alpha relation is defined for).
     """
-    f = _as_fraction((alpha, beta))
-    if oriented and f.beta % 2 == 0:
-        raise OddFormRequiredError(
-            f"oriented orbit needs odd beta, got ({f.alpha}, {f.beta})"
-        )
-    if f.alpha == 0:
+    _check(alpha, beta)
+    if oriented and beta % 2 == 0:
+        raise OddFormRequiredError(f"oriented orbit needs odd beta, got ({alpha}, {beta})")
+    if alpha == 0:
         return frozenset({1})
-    m = 2 * f.alpha if oriented else f.alpha
-    b = f.beta % m
+    m = 2 * alpha if oriented else alpha
+    b = beta % m
     inv = pow(b, -1, m)
     members = {b, inv}
     if mirror:

@@ -266,8 +266,15 @@ SUITES = ("counts", "orientation", "identity", "burau", "conjugacy")
 def run_suites(
     suite: str = "all", max_bound: int | None = None, bounds: VerifyBounds = VerifyBounds()
 ) -> list[Violation]:
-    """Run one suite or all of them, optionally overriding the primary bound."""
+    """Run one suite or all of them, optionally overriding the primary bound.
+
+    For a single suite ``max_bound`` replaces that suite's bound (both burau
+    bounds for "burau").  For "all" it replaces only the alpha bounds of the
+    census suites, counts and orientation: the (p, q)-grid suites keep their
+    defaults, since burau grows as the cube of its bound.
+    """
     selected = SUITES if suite == "all" else (suite,)
+    grid_bound = None if suite == "all" else max_bound
     violations: list[Violation] = []
     for name in selected:
         if name == "counts":
@@ -275,11 +282,11 @@ def run_suites(
         elif name == "orientation":
             violations += verify_orientation_uniqueness(max_bound or bounds.orientation_alpha)
         elif name == "identity":
-            violations += verify_inverse_identity(max_bound or bounds.identity_pq)
+            violations += verify_inverse_identity(grid_bound or bounds.identity_pq)
         elif name == "burau":
             violations += verify_burau_witnesses(
-                max_bound or bounds.witness_pq,
-                max_torus=max_bound or bounds.witness_torus,
+                grid_bound or bounds.witness_pq,
+                max_torus=grid_bound or bounds.witness_torus,
                 seed=bounds.seed,
             )
         elif name == "conjugacy":

@@ -39,6 +39,41 @@ class TestFamilyMembership:
             else:
                 assert hits == []
 
+    def test_divisor_form_matches_the_solver(self):
+        # family_hits reads (p, q) off divisors of 2*alpha +- 1; the reference
+        # solves every odd orbit member with family_membership and applies
+        # the same preference order
+        checked = set()
+        hit_fractions = 0
+        for alpha in range(0, 1501):
+            for f in classify.canonical_fractions(alpha):
+                orb = twobridge.orbit(f.alpha, f.beta)
+                expected = []
+                for beta_star in sorted(b for b in orb if b % 2 == 1):
+                    params = classify.family_membership(f.alpha, beta_star)
+                    if params is not None:
+                        expected.append(params)
+                expected.sort(key=lambda fp: (fp.q % 2 == 0, fp.beta_star))
+                got = classify.family_hits(f.alpha, orb)
+                assert got == expected, f.pair
+                checked.add(f.pair)
+                hit_fractions += bool(got)
+        assert (4, 1) in checked and (1500, 1) in checked and (1499, 1) in checked
+        assert classify.family_hits(4, twobridge.orbit(4, 1)) == [classify.FamilyParams("one", 1, 1)]
+        assert hit_fractions > 1000
+
+    def test_divisor_form_on_arbitrary_members(self):
+        # members at or past 2*alpha - 1 give a cofactor below 3 (p < 1)
+        for alpha in range(-5, 80):
+            members = frozenset(range(0, 2 * alpha + 4))
+            expected = [
+                params
+                for params in (classify.family_membership(alpha, d) for d in sorted(members) if d % 2)
+                if params is not None
+            ]
+            expected.sort(key=lambda fp: (fp.q % 2 == 0, fp.beta_star))
+            assert classify.family_hits(alpha, members) == expected, alpha
+
 
 class TestAxisClasses:
     def test_triple_at_four_one(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -171,6 +172,34 @@ class TestEnumerate:
         code, doc = run_json(capsys, ["enumerate", "--max", "5", "--format", "json"])
         assert code == 0
         assert doc[0] == {"alpha": 0, "beta": 1, "count": 1, "witnesses": [[2]]}
+
+
+class TestEnumerateGolden:
+    # sha256 of the stdout of the version that buffered every row and
+    # printed the JSON array with one json.dumps call; the streamed output
+    # must stay byte for byte the same
+    GOLDEN_200 = {
+        "tsv": "e73674de89bf3ba93c3d23e394675fa05398795719cc2180c064515528ae810e",
+        "json": "bc888cfaf5e227830c9f230bbf9029ce6e5066ae8a777861cb343ab006c4ac20",
+    }
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_max_200_digest(self, capsys, fmt):
+        assert run(["enumerate", "--max", "200", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_200[fmt]
+
+    def test_negative_max_is_empty(self, capsys):
+        assert run(["enumerate", "--max", "-1", "--format", "json"]) == 0
+        assert capsys.readouterr().out == "[]\n"
+        assert run(["enumerate", "--max", "-1", "--format", "tsv"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_max_zero_is_the_unlink(self, capsys):
+        assert run(["enumerate", "--max", "0", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '[{"alpha": 0, "beta": 1, "count": 1, "witnesses": [[2]]}]\n'
+        assert run(["enumerate", "--max", "0", "--format", "tsv"]) == 0
+        assert capsys.readouterr().out == "0\t1\t1\t2\n"
 
 
 class TestVerifyCommand:

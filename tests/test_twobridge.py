@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gofknots import classify
 from gofknots import twobridge as tb
 
 
@@ -124,6 +125,50 @@ class TestEquivalent:
     def test_oriented_requires_odd(self):
         with pytest.raises(tb.OddFormRequiredError):
             tb.equivalent((5, 2), (5, 3), oriented=True)
+
+
+class TestValidation:
+    """orbit and equivalent check plain integers; canonical builds unchecked fractions."""
+
+    INVALID = [
+        ((6, 4), r"gcd\(6, 4\) != 1"),
+        ((-3, 1), "alpha must be non-negative, got -3"),
+        ((0, 2), r"gcd\(0, 2\) != 1"),
+    ]
+
+    @pytest.mark.parametrize("pair,message", INVALID)
+    def test_orbit_rejects_invalid(self, pair, message):
+        # (6, 4) and (0, 2) also have even beta: with oriented=True the gcd
+        # error still comes first
+        for oriented in (False, True):
+            with pytest.raises(tb.InvalidFractionError, match=message):
+                tb.orbit(*pair, oriented=oriented)
+
+    @pytest.mark.parametrize("pair,message", INVALID)
+    def test_equivalent_rejects_invalid(self, pair, message):
+        for oriented in (False, True):
+            with pytest.raises(tb.InvalidFractionError, match=message):
+                tb.equivalent(pair, (5, 1), oriented=oriented)
+            with pytest.raises(tb.InvalidFractionError, match=message):
+                tb.equivalent((5, 1), pair, oriented=oriented)
+
+    def test_unchecked_fractions_match_validated_ones(self):
+        built = [f for alpha in range(0, 40) for f in classify.canonical_fractions(alpha)]
+        built += [tb.canonical(alpha, beta) for alpha in range(0, 40) for beta in (1, -1, 3, -5)
+                  if math.gcd(alpha, abs(beta)) == 1]
+        checked = [tb.Fraction(f.alpha, f.beta) for f in built]
+        assert all(type(f) is tb.Fraction for f in built)
+        assert built == checked
+        assert [hash(f) for f in built] == [hash(g) for g in checked]
+        # mixed comparisons order as the validated ones do
+        assert [f < g for f, g in zip(built, checked[1:])] == [f < g for f, g in zip(checked, checked[1:])]
+        assert [g < f for f, g in zip(built, checked[1:])] == [g < f for f, g in zip(checked, checked[1:])]
+        assert sorted(built) == sorted(checked)
+
+    def test_unchecked_fractions_stay_frozen(self):
+        f = tb.canonical(19, 16)
+        with pytest.raises(AttributeError):
+            f.beta = 5
 
 
 class TestOrientationClasses:

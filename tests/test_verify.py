@@ -46,6 +46,32 @@ class TestRunSuites:
         # override keeps the counts census small enough for a unit test
         assert verify.run_suites("all", 30) == []
 
+    def test_all_applies_max_to_the_census_suites_only(self, monkeypatch):
+        calls = {}
+
+        def recorder(name):
+            def record(*args, **kwargs):
+                calls[name] = (args, kwargs)
+                return []
+            return record
+
+        for name in ("verify_counts", "verify_orientation_uniqueness", "verify_inverse_identity",
+                     "verify_burau_witnesses", "verify_conjugacy_suite"):
+            monkeypatch.setattr(verify, name, recorder(name))
+        defaults = verify.VerifyBounds()
+        assert verify.run_suites("all", 60) == []
+        assert calls["verify_counts"][0] == (60,)
+        assert calls["verify_orientation_uniqueness"][0] == (60,)
+        assert calls["verify_inverse_identity"][0] == (defaults.identity_pq,)
+        args, kwargs = calls["verify_burau_witnesses"]
+        assert args == (defaults.witness_pq,)
+        assert kwargs["max_torus"] == defaults.witness_torus
+
+        calls.clear()
+        assert verify.run_suites("burau", 7) == []
+        args, kwargs = calls["verify_burau_witnesses"]
+        assert args == (7,) and kwargs["max_torus"] == 7
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             verify.run_suites("nonsense")
