@@ -29,8 +29,8 @@ class of the Burau image) with that of every witness with that determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterator, Optional
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Optional
 
 from . import braid, cover, twobridge
 from .braid import Word
@@ -152,7 +152,7 @@ def _torus_pair(alpha: int) -> tuple[Witness, Witness]:
     )
 
 
-def family_hits(alpha: int, orbit: frozenset[int]) -> list[FamilyParams]:
+def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
     """Family solutions over the odd orbit members, preferred hit first.
 
     Family one, alpha = 2pq + p + q, is 2*alpha + 1 = (2p + 1)(2q + 1), and
@@ -183,9 +183,13 @@ def _notes_for(f: Fraction) -> tuple[str, ...]:
     return ()
 
 
-def axis_classes(alpha: int, beta: int) -> AxisReport:
-    """Classify the braid axes of b(alpha, beta) with explicit witnesses."""
-    f = twobridge.canonical(alpha, beta)
+def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
+    """The report of the canonical fraction f, its family hits taken from members.
+
+    members holds the orbit of f.beta, or any part of it that keeps every
+    family member (census passes only the divisors of 2*alpha +- 1); None or
+    empty means no hit.  alpha 0, 1 and the torus locus do not read it.
+    """
     notes = _notes_for(f)
     if f.alpha == 0:
         return AxisReport(f, (Witness((2,), TORUS_POSITIVE),), notes)
@@ -199,11 +203,19 @@ def axis_classes(alpha: int, beta: int) -> AxisReport:
             extra = FamilyParams(FAMILY_ONE, 1, 1)
             witnesses = witnesses + (Witness(family_witness(extra), FLYPE_FAMILY, extra),)
         return AxisReport(f, witnesses, notes)
-    hits = family_hits(f.alpha, twobridge.orbit(f.alpha, f.beta))
+    hits = family_hits(f.alpha, members) if members else []
     if hits:
         chosen = hits[0]
         return AxisReport(f, (Witness(family_witness(chosen), FLYPE_FAMILY, chosen),), notes)
     return AxisReport(f, (), notes)
+
+
+def axis_classes(alpha: int, beta: int) -> AxisReport:
+    """Classify the braid axes of b(alpha, beta) with explicit witnesses."""
+    f = twobridge.canonical(alpha, beta)
+    # _report decides alpha 0, 1 and the torus locus without the orbit
+    needs_orbit = f.alpha >= 2 and f.beta != 1
+    return _report(f, twobridge.orbit(f.alpha, f.beta) if needs_orbit else None)
 
 
 def gof_count(alpha: int, beta: int) -> AxisReport:
@@ -233,11 +245,33 @@ def canonical_fractions(alpha: int) -> Iterator[Fraction]:
             yield twobridge._trusted(alpha, beta)
 
 
+def _family_members(alpha: int) -> dict[int, set[int]]:
+    """Every family member d of alpha >= 2, keyed by the canonical beta of (alpha, d).
+
+    d = 2q + 1 is a member when it divides 2*alpha + 1 or 2*alpha - 1 with
+    a cofactor 2p + 1 >= 3 (see family_hits).  Such d is coprime to alpha
+    and below it, so it is its own residue in the orbit it belongs to.
+    """
+    by_beta: dict[int, set[int]] = {}
+    for n in (2 * alpha + 1, 2 * alpha - 1):
+        for d in range(3, isqrt(n) + 1, 2):
+            if n % d == 0:
+                for member in {d, n // d}:
+                    by_beta.setdefault(twobridge.canonical(alpha, member).beta, set()).add(member)
+    return by_beta
+
+
 def census(max_alpha: int) -> Iterator[AxisReport]:
-    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order."""
+    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order.
+
+    Each fraction gets the members of its orbit that divide 2*alpha +- 1,
+    listed once per alpha, in place of its whole orbit: no other member can
+    be a family hit, so every report equals axis_classes(alpha, beta).
+    """
     for alpha in range(0, max_alpha + 1):
+        members = _family_members(alpha) if alpha >= 2 else {}
         for f in canonical_fractions(alpha):
-            yield axis_classes(f.alpha, f.beta)
+            yield _report(f, members.get(f.beta))
 
 
 def identification_candidates(f: Fraction) -> Iterator[Witness]:

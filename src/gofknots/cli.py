@@ -109,8 +109,9 @@ def _cmd_enumerate(args) -> int:
     else:
         for report in classify.census(args.max):
             f = report.fraction
-            words = ";".join(braid.format_word(w.word) for w in report.witnesses)
-            out.write(f"{f.alpha}\t{f.beta}\t{report.count}\t{words}\n")
+            ws = report.witnesses
+            words = ";".join([braid.format_word(w.word) for w in ws]) if ws else ""
+            out.write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
     return 0
 
 
@@ -118,6 +119,16 @@ def _cmd_verify(args) -> int:
     violations = verify.run_suites(args.suite, args.max)
     _emit([v.as_json() for v in violations])
     return 0 if not violations else 1
+
+
+def _non_negative_int(token: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {token!r}")
+    return value
 
 
 def _parse_braid_word(tokens: list[str]) -> braid.Word:
@@ -232,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
     p.add_argument(
         "--max",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="bound of the selected suite; with --suite all, only the alpha bound "
         "of the counts and orientation suites",

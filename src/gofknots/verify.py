@@ -271,22 +271,27 @@ def run_suites(
     For a single suite ``max_bound`` replaces that suite's bound (both burau
     bounds for "burau").  For "all" it replaces only the alpha bounds of the
     census suites, counts and orientation: the (p, q)-grid suites keep their
-    defaults, since burau grows as the cube of its bound.
+    defaults, since burau grows as the cube of its bound.  None keeps every
+    default; 0 is a bound like any other.
     """
     selected = SUITES if suite == "all" else (suite,)
     grid_bound = None if suite == "all" else max_bound
+
+    def pick(override: int | None, default: int) -> int:
+        return default if override is None else override
+
     violations: list[Violation] = []
     for name in selected:
         if name == "counts":
-            violations += verify_counts(max_bound or bounds.counts_alpha)
+            violations += verify_counts(pick(max_bound, bounds.counts_alpha))
         elif name == "orientation":
-            violations += verify_orientation_uniqueness(max_bound or bounds.orientation_alpha)
+            violations += verify_orientation_uniqueness(pick(max_bound, bounds.orientation_alpha))
         elif name == "identity":
-            violations += verify_inverse_identity(grid_bound or bounds.identity_pq)
+            violations += verify_inverse_identity(pick(grid_bound, bounds.identity_pq))
         elif name == "burau":
             violations += verify_burau_witnesses(
-                grid_bound or bounds.witness_pq,
-                max_torus=grid_bound or bounds.witness_torus,
+                pick(grid_bound, bounds.witness_pq),
+                max_torus=pick(grid_bound, bounds.witness_torus),
                 seed=bounds.seed,
             )
         elif name == "conjugacy":

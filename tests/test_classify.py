@@ -241,3 +241,41 @@ class TestCanonicalFractions:
             assert not (orb & covered)
             covered |= orb
         assert covered == {b for b in range(1, alpha) if math.gcd(alpha, b) == 1}
+
+
+class TestCensus:
+    def test_equals_axis_classes_row_by_row(self):
+        # census finds family hits among the divisors of 2*alpha +- 1 listed
+        # once per alpha; axis_classes scans the whole orbit of each fraction
+        expected = [
+            classify.axis_classes(f.alpha, f.beta)
+            for alpha in range(0, 1201)
+            for f in classify.canonical_fractions(alpha)
+        ]
+        got = list(classify.census(1200))
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g == e, e.fraction.pair
+        assert sum(1 for r in got if r.family is not None and r.count == 1) > 1000
+
+    def test_negative_bound_is_empty(self):
+        assert list(classify.census(-1)) == []
+
+    def test_first_rows(self):
+        first, second = list(classify.census(1))
+        assert first.fraction.pair == (0, 1) and first.count == 1
+        assert second.fraction.pair == (1, 1) and second.count == 2
+
+    def test_four_one_has_three_witnesses(self):
+        (row,) = [r for r in classify.census(4) if r.fraction.pair == (4, 1)]
+        assert row.count == 3
+        assert row == classify.axis_classes(4, 1)
+
+    def test_seventeen_five_note_and_hit(self):
+        # divisors 5 and 7 of 35 = 2*17 + 1 both sit in the orbit of 5;
+        # q = 3 (at 7) is odd, so it is preferred to q = 2 (at 5)
+        (row,) = [r for r in classify.census(17) if r.fraction.pair == (17, 5)]
+        assert row.notes == (classify.L17_5_NOTE,)
+        assert row.family == classify.FamilyParams("one", 2, 3)
+        assert row.witnesses[0].label == "flype-family(one,p=2,q=3)"
+        assert classify._family_members(17)[5] == {5, 7}

@@ -183,11 +183,25 @@ class TestEnumerateGolden:
         "json": "bc888cfaf5e227830c9f230bbf9029ce6e5066ae8a777861cb343ab006c4ac20",
     }
 
+    # sha256 of the stdout of the version that gave every fraction its whole
+    # orbit (census called axis_classes per row), computed before census
+    # switched to the divisors of 2*alpha +- 1
+    GOLDEN_1000 = {
+        "tsv": "a1ce3702a8b472de5975278f87df3938a082136a3051d184e6d6019e7989ed10",
+        "json": "03534bdb34a261230c193ebfe023e174671e9edb9c5dbaae1aae1cc444a33f94",
+    }
+
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_max_200_digest(self, capsys, fmt):
         assert run(["enumerate", "--max", "200", "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_200[fmt]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_max_1000_digest(self, capsys, fmt):
+        assert run(["enumerate", "--max", "1000", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_1000[fmt]
 
     def test_negative_max_is_empty(self, capsys):
         assert run(["enumerate", "--max", "-1", "--format", "json"]) == 0
@@ -207,6 +221,20 @@ class TestVerifyCommand:
         code, doc = run_json(capsys, ["verify", "--suite", "identity", "--max", "10"])
         assert code == 0 and doc == []
 
+    @pytest.mark.parametrize("bound", ["-1", "-5000"])
+    def test_negative_max_rejected(self, capsys, monkeypatch, bound):
+        monkeypatch.setattr(verify, "run_suites", lambda *a, **k: pytest.fail("suites ran"))
+        assert run(["verify", "--max", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max" in captured.err and repr(bound) in captured.err
+
+    def test_max_zero_reaches_the_suites(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "run_suites", lambda suite, bound: seen.append((suite, bound)) or [])
+        code, doc = run_json(capsys, ["verify", "--suite", "counts", "--max", "0"])
+        assert code == 0 and doc == [] and seen == [("counts", 0)]
+
     def test_nonempty_violations_exit_1(self, capsys, monkeypatch):
         fake = [verify.Violation("identity", {"p": 1}, 1, 0)]
         monkeypatch.setattr(verify, "verify_inverse_identity", lambda *a, **k: fake)
@@ -223,13 +251,31 @@ class TestDeterminism:
             ["classify", "17", "5"],
             ["enumerate", "--max", "10"],
             ["braid", "nf", "-1", "-2", "1"],
+            ["gof", "17", "5"],
+            ["classify", "4", "1"],
+            ["equiv", "10", "3", "10", "7", "--oriented"],
+            ["normalize", "19", "16"],
+            ["conway", "1,2,-2"],
+            ["enumerate", "--max", "50", "--format", "tsv"],
+            ["enumerate", "--max", "50", "--format", "json"],
+            ["verify", "--suite", "identity", "--max", "5"],
+            ["braid", "exp", "1", "1", "-2"],
+            ["braid", "mirror", "1", "2", "-1"],
+            ["braid", "det", "1", "1", "1", "2"],
+            ["braid", "homology", "1", "1", "1", "1", "2"],
+            ["braid", "identify", "-1", "-1", "-1", "-1", "-1", "-2"],
+            ["braid", "identify", "1", "-1"],
+            ["braid", "conj", "1", "1", "2", "--", "2", "1", "1"],
+            ["braid", "twist", "1", "1", "1", "1", "1", "1", "2"],
         ],
     )
     def test_byte_identical_output(self, capsys, argv):
-        run(argv)
+        first_code = run(argv)
         first = capsys.readouterr().out
-        run(argv)
+        second_code = run(argv)
         assert capsys.readouterr().out == first
+        assert second_code == first_code
+        assert first
 
 
 class TestTopLevel:

@@ -38,6 +38,23 @@ class TestViolationRecords:
         assert bounds.witness_pq == 50
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Replace every suite by a stub; maps each suite called to its (args, kwargs)."""
+    seen = {}
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            return []
+        return record
+
+    for name in ("verify_counts", "verify_orientation_uniqueness", "verify_inverse_identity",
+                 "verify_burau_witnesses", "verify_conjugacy_suite"):
+        monkeypatch.setattr(verify, name, recorder(name))
+    return seen
+
+
 class TestRunSuites:
     def test_single_suite_with_override(self):
         assert verify.run_suites("identity", 10) == []
@@ -46,18 +63,7 @@ class TestRunSuites:
         # override keeps the counts census small enough for a unit test
         assert verify.run_suites("all", 30) == []
 
-    def test_all_applies_max_to_the_census_suites_only(self, monkeypatch):
-        calls = {}
-
-        def recorder(name):
-            def record(*args, **kwargs):
-                calls[name] = (args, kwargs)
-                return []
-            return record
-
-        for name in ("verify_counts", "verify_orientation_uniqueness", "verify_inverse_identity",
-                     "verify_burau_witnesses", "verify_conjugacy_suite"):
-            monkeypatch.setattr(verify, name, recorder(name))
+    def test_all_applies_max_to_the_census_suites_only(self, calls):
         defaults = verify.VerifyBounds()
         assert verify.run_suites("all", 60) == []
         assert calls["verify_counts"][0] == (60,)
@@ -71,6 +77,25 @@ class TestRunSuites:
         assert verify.run_suites("burau", 7) == []
         args, kwargs = calls["verify_burau_witnesses"]
         assert args == (7,) and kwargs["max_torus"] == 7
+
+    @pytest.mark.parametrize("suite", ["all", "counts", "burau"])
+    def test_max_zero_is_a_bound(self, calls, suite):
+        defaults = verify.VerifyBounds()
+        assert verify.run_suites(suite, 0) == []
+        if suite in ("all", "counts"):
+            assert calls["verify_counts"][0] == (0,)
+        if suite == "all":
+            assert calls["verify_orientation_uniqueness"][0] == (0,)
+            args, kwargs = calls["verify_burau_witnesses"]
+            assert args == (defaults.witness_pq,) and kwargs["max_torus"] == defaults.witness_torus
+        if suite == "burau":
+            args, kwargs = calls["verify_burau_witnesses"]
+            assert args == (0,) and kwargs["max_torus"] == 0
+            assert "verify_counts" not in calls
+
+    def test_max_zero_suites_pass(self):
+        assert verify.run_suites("counts", 0) == []
+        assert verify.run_suites("burau", 0) == []
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
