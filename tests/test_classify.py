@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +226,63 @@ class TestIdentifyClosure:
     def test_mirrored_flag_orientation(self):
         cid = classify.identify_closure((-1, -1, -1, -2))
         assert cid.fraction.pair == (3, 1) and cid.mirrored is True
+
+
+class TestIdentifyClosureWithoutScan(TestIdentifyClosure):
+    # every TestIdentifyClosure case again, with the per-determinant scan
+    # of canonical fractions and orbits made to fail
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("identify_closure scanned fractions or orbits")
+
+        monkeypatch.setattr(classify, "canonical_fractions", refuse)
+        monkeypatch.setattr(twobridge, "orbit", refuse)
+
+
+def _golden_identify_words() -> list:
+    """Every word of length <= 6, then seeded conjugates of 3-braid witnesses.
+
+    The seeded words are family witnesses, flype partners, witnesses with p
+    and q swapped and torus braids sigma_1^k sigma_2^+-1, each conjugated by
+    a short random word, half of them mirrored.
+    """
+    words = [w for n in range(7) for w in itertools.product((1, -1, 2, -2), repeat=n)]
+    rng = random.Random(2005)
+    for i in range(160):
+        kind = ("family", "partner", "swap", "torus")[i % 4]
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
+        if kind == "swap":
+            p, q = q, p
+        q_block = (1,) * q if rng.random() < 0.5 else (-1,) * (q + 1)
+        if kind == "torus":
+            core = (1,) * rng.randint(2, 40) + (rng.choice((2, -2)),)
+        elif kind == "partner":
+            core = (1,) * p + (-2,) + q_block + (2, 2)
+        else:
+            core = (1,) * p + (2, 2) + q_block + (-2,)
+        u = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4)))
+        word = u + core + B.invert(u)
+        words.append(B.mirror(word) if i % 8 >= 4 else word)
+    return words
+
+
+class TestIdentifyGolden:
+    # sha256 of the answers of the version that walked every canonical
+    # fraction of the determinant and every member of its orbit, computed
+    # before identification switched to the divisors of 2*alpha +- 1
+    GOLDEN = "482e98adfc572a44c0887194cdb0b620256cf0d832773820a28ff415ad86c25c"
+
+    def test_answers_digest(self):
+        words = _golden_identify_words()
+        assert len(words) == 5461 + 160
+        answers = []
+        for word in words:
+            cid = classify.identify_closure(word)
+            answers.append(None if cid is None else [*cid.fraction.pair, cid.mirrored, list(cid.matched_witness)])
+        assert sum(a is not None for a in answers) == 3976
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == self.GOLDEN
 
 
 class TestCanonicalFractions:

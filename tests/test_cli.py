@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +131,7 @@ class TestBraidCommands:
         assert captured.out == "" and "'1000000000'" in captured.err
 
     def test_twist_letter_limit_boundary(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_TWIST_LETTERS", 100)
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 100)
         # 4 + 12 * 8 = 100 letters fit; 4 + 12 * 9 = 112 do not
         for n in ("8", "-8"):
             code, doc = run_json(capsys, ["braid", "twist", n, "1", "2", "1", "2"])
@@ -135,6 +139,26 @@ class TestBraidCommands:
         for n in ("9", "-9"):
             assert run(["braid", "twist", n, "1", "2", "1", "2"]) == 1
             assert repr(n) in capsys.readouterr().err
+
+    def test_identify_large_determinant_rejected_at_once(self, capsys):
+        # the closure of (sigma_1 sigma_2^-1)^20 has determinant 228826125,
+        # whose torus witnesses would be as long
+        start = time.perf_counter()
+        assert run(["braid", "identify", *["1", "-2"] * 20]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "228826125" in captured.err
+
+    def test_identify_determinant_limit_boundary(self, capsys, monkeypatch):
+        # sigma_1^-5 sigma_2^-1 closes up with determinant 5
+        word = ["-1", "-1", "-1", "-1", "-1", "-2"]
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 5)
+        code, doc = run_json(capsys, ["braid", "identify", *word])
+        assert code == 0 and doc["fraction"] == [5, 1]
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 4)
+        assert run(["braid", "identify", *word]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "determinant 5" in captured.err
 
     def test_parse_error_exit_1(self, capsys):
         assert run(["braid", "nf", "3"]) == 1
@@ -276,6 +300,20 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
         assert second_code == first_code
         assert first
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_run(self, capsys):
+        assert run(["gof", "19", "3"]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gofknots", "gof", "19", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == expected
 
 
 class TestTopLevel:
