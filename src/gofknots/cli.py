@@ -7,19 +7,25 @@ yields byte-identical output.  Exit codes: 0 on success, 1 on invalid input
 ``braid identify`` would build a word past MAX_WORD_LETTERS letters, 2 when
 ``braid identify`` does not recognise the closure.
 
-Braid words are given as trailing arguments, e.g. ``braid nf 1 1 -2``; the
-two words of ``braid conj`` are separated by ``--``.  The braid subcommand is
-dispatched by hand because its letters look like option flags to argparse.
+One argparse tree parses every command.  Braid words are trailing arguments,
+e.g. ``braid nf 1 1 -2``; ``braid conj`` separates its two words with ``--``.
+The parsers of ``conway`` and of the braid operations take no options, so
+tokens such as ``-1,-1,2``, ``-3,2``, ``+5`` and ``-h`` reach them as data,
+where argparse would read a dash-leading token as a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import os
 import sys
 
 from . import braid, classify, cover, twobridge, verify
+
+# keywords of a parser that takes no options: no argv string can hold a NUL
+# byte, so with it as the only prefix character every token is data
+_RAW_TOKENS = {"prefix_chars": "\0", "add_help": False}
 
 # longest word `braid twist` prints (each twist count step adds 12 letters),
 # and largest closure determinant `braid identify` accepts: its torus
@@ -51,19 +57,17 @@ def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: 
     return out
 
 
-def _cmd_gof(args) -> int:
+def _cmd_gof(args) -> None:
     report = classify.gof_count(args.alpha, args.beta)
     _emit(_report_json(report, args.alpha, args.beta, "gof_count"))
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     report = classify.axis_classes(args.alpha, args.beta)
     _emit(_report_json(report, args.alpha, args.beta, "count"))
-    return 0
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> None:
     result = twobridge.equivalent(
         (args.alpha1, args.beta1),
         (args.alpha2, args.beta2),
@@ -71,27 +75,23 @@ def _cmd_equiv(args) -> int:
         mirror=not args.no_mirror,
     )
     _emit({"equivalent": result})
-    return 0
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> None:
     f = twobridge.canonical(args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "canonical": _fraction_json(f)})
-    return 0
 
 
-def _cmd_conway(args) -> int:
+def _cmd_conway(args) -> None:
     try:
         digits = tuple(int(tok) for tok in args.digits.split(","))
     except ValueError:
-        print(f"error: conway digits must be integers, got {args.digits!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"conway digits must be integers, got {args.digits!r}") from None
     raw, canon = twobridge.cf_to_fraction(digits)
     _emit({"digits": list(digits), "raw": list(raw), "canonical": _fraction_json(canon)})
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
     # rows are written as they are classified; the JSON separators are the
     # ones json.dumps puts between list items, so the array reads the same
     out = sys.stdout
@@ -115,7 +115,6 @@ def _cmd_enumerate(args) -> int:
             ws = report.witnesses
             words = ";".join([braid.format_word(w.word) for w in ws]) if ws else ""
             out.write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -134,79 +133,65 @@ def _non_negative_int(token: str) -> int:
     return value
 
 
-def _parse_braid_word(tokens: list[str]) -> braid.Word:
+def _word(tokens: list[str]) -> braid.Word:
     return braid.parse_word(" ".join(tokens))
 
 
-def _run_braid(argv: list[str]) -> int:
-    if not argv:
-        print("error: braid needs an operation (nf|exp|mirror|identify|det|homology|conj|twist)", file=sys.stderr)
-        return 1
-    op, rest = argv[0], argv[1:]
-    if op == "conj":
-        if "--" not in rest:
-            print("error: braid conj needs two words separated by --", file=sys.stderr)
-            return 1
-        split = rest.index("--")
-        w1 = _parse_braid_word(rest[:split])
-        w2 = _parse_braid_word(rest[split + 1:])
-        _emit({"conjugate": braid.is_conjugate(w1, w2)})
-        return 0
-    if op == "twist":
-        if not rest:
-            print("error: braid twist needs a twist count", file=sys.stderr)
-            return 1
-        try:
-            n = int(rest[0])
-        except ValueError:
-            print(f"error: invalid twist count {rest[0]!r}", file=sys.stderr)
-            return 1
-        word = _parse_braid_word(rest[1:])
-        if len(word) + 12 * abs(n) > MAX_WORD_LETTERS:
-            print(
-                f"error: twist count {rest[0]!r} gives more than {MAX_WORD_LETTERS} letters",
-                file=sys.stderr,
-            )
-            return 1
-        _emit({"word": list(braid.surgery_twist(word, n))})
-        return 0
-    word = _parse_braid_word(rest)
-    if op == "nf":
-        nf = braid.normal_form(word)
-        _emit({"delta_power": nf.delta_power, "factors": [list(w) for w in nf.factor_words()]})
-        return 0
-    if op == "exp":
-        _emit({"exponent_sum": braid.exponent_sum(word)})
-        return 0
-    if op == "mirror":
-        _emit({"word": list(braid.mirror(word))})
-        return 0
-    if op == "det":
-        _emit({"determinant": cover.closure_determinant(word)})
-        return 0
-    if op == "homology":
-        _emit({"invariant_factors": list(cover.dbc_homology(word).invariant_factors)})
-        return 0
-    if op == "identify":
-        det = cover.closure_determinant(word)
-        if det > MAX_WORD_LETTERS:
-            print(
-                f"error: closure determinant {det} is above the {MAX_WORD_LETTERS}-letter witness limit",
-                file=sys.stderr,
-            )
-            return 1
-        result = classify.identify_closure(word)
-        if result is None:
-            _emit({"unrecognized": True, "determinant": det})
-            return 2
-        _emit({
-            "fraction": _fraction_json(result.fraction),
-            "mirrored": result.mirrored,
-            "matched_witness": list(result.matched_witness),
-        })
-        return 0
-    print(f"error: unknown braid operation {op!r}", file=sys.stderr)
-    return 1
+def _cmd_nf(args) -> None:
+    nf = braid.normal_form(_word(args.tokens))
+    _emit({"delta_power": nf.delta_power, "factors": [list(w) for w in nf.factor_words()]})
+
+
+def _cmd_exp(args) -> None:
+    _emit({"exponent_sum": braid.exponent_sum(_word(args.tokens))})
+
+
+def _cmd_mirror(args) -> None:
+    _emit({"word": list(braid.mirror(_word(args.tokens)))})
+
+
+def _cmd_det(args) -> None:
+    _emit({"determinant": cover.closure_determinant(_word(args.tokens))})
+
+
+def _cmd_homology(args) -> None:
+    _emit({"invariant_factors": list(cover.dbc_homology(_word(args.tokens)).invariant_factors)})
+
+
+def _cmd_identify(args) -> int | None:
+    word = _word(args.tokens)
+    det = cover.closure_determinant(word)
+    if det > MAX_WORD_LETTERS:
+        raise ValueError(f"closure determinant {det} is above the {MAX_WORD_LETTERS}-letter witness limit")
+    result = classify.identify_closure(word)
+    if result is None:
+        _emit({"unrecognized": True, "determinant": det})
+        return 2
+    f, w = result.fraction, result.matched_witness
+    _emit({"fraction": _fraction_json(f), "mirrored": result.mirrored, "matched_witness": list(w)})
+    return None
+
+
+def _cmd_conj(args) -> None:
+    if "--" not in args.tokens:
+        raise ValueError("braid conj needs two words separated by --")
+    split = args.tokens.index("--")
+    w1, w2 = _word(args.tokens[:split]), _word(args.tokens[split + 1:])
+    _emit({"conjugate": braid.is_conjugate(w1, w2)})
+
+
+def _cmd_twist(args) -> None:
+    if not args.tokens:
+        raise ValueError("braid twist needs a twist count")
+    count = args.tokens[0]
+    try:
+        n = int(count)
+    except ValueError:
+        raise ValueError(f"invalid twist count {count!r}") from None
+    word = _word(args.tokens[1:])
+    if len(word) + 12 * abs(n) > MAX_WORD_LETTERS:
+        raise ValueError(f"twist count {count!r} gives more than {MAX_WORD_LETTERS} letters")
+    _emit({"word": list(braid.surgery_twist(word, n))})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("beta", type=int)
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("conway", help="evaluate Conway digits D1,D2,...")
+    p = sub.add_parser("conway", help="evaluate Conway digits D1,D2,...", **_RAW_TOKENS)
     p.add_argument("digits")
     p.set_defaults(func=_cmd_conway)
 
@@ -260,34 +245,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
+    p = sub.add_parser("braid", help="operations on 3-braid words")
+    ops = p.add_subparsers(dest="operation", required=True)
+    for name, func, summary in (
+        ("nf", _cmd_nf, "left normal form"),
+        ("exp", _cmd_exp, "exponent sum"),
+        ("mirror", _cmd_mirror, "mirror word"),
+        ("identify", _cmd_identify, "two-bridge fraction of the closure"),
+        ("det", _cmd_det, "determinant of the closure"),
+        ("homology", _cmd_homology, "homology of the branched double cover"),
+        ("conj", _cmd_conj, "conjugacy of two words separated by --"),
+        ("twist", _cmd_twist, "insert N full twists on the braid axis"),
+    ):
+        p = ops.add_parser(name, help=summary, **_RAW_TOKENS)
+        # REMAINDER keeps every `--`, which conj splits at and the others reject
+        p.add_argument("tokens", nargs=argparse.REMAINDER)
+        p.set_defaults(func=func)
+
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "braid":
-        try:
-            return _run_braid(argv[1:])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    # a leading negative Conway digit looks like an option flag to argparse
-    if len(argv) >= 2 and argv[0] == "conway" and re.match(r"-\d", argv[1]):
-        argv.insert(1, "--")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        return args.func(args) or 0  # a handler returns None on success
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # interpreter exit cannot fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

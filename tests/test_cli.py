@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gofknots import cli, verify
 from gofknots.cli import run
@@ -240,6 +245,221 @@ class TestEnumerateGolden:
         assert capsys.readouterr().out == "0\t1\t1\t2\n"
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+class TestArgvGolden:
+    # sha256 of stdout and the exit code of each argv, computed with the
+    # parser that dispatched `braid` by hand and inserted `--` before a
+    # dash-leading Conway digit; one argparse tree must give the same
+    CASES = [
+        (("gof", "19", "3"), 0,
+         "9138370245169e19701e5224014962c76ce10a8b50f0ffd81d603f7b7c13044f"),
+        (("gof", "4", "1"), 0,
+         "0da4be561ef72b425ec70d0c9cd9fb1866c3d507af4782edbff30cc53c450972"),
+        (("gof", "17", "5"), 0,
+         "c3d0eb48a23ab36dfe5d9436f57dd06b9c7a8be05ba9e2b37fd816819e911287"),
+        (("gof", "0", "1"), 0,
+         "11df1e75c54b5ae90ebb25a9571280c9f9a825baa742b35e5b36e5e11c6b56b3"),
+        (("gof", "1", "1"), 0,
+         "a10898d83de96084834861a966b12db0e9908370fde8dd2ab490bfd854498bc5"),
+        (("gof", "4", "2"), 1, EMPTY),
+        (("gof", "x", "1"), 1, EMPTY),
+        (("gof", "19"), 1, EMPTY),
+        (("gof", "-19", "3"), 0,
+         "65f93c39249d40bc67af5d1302dc9530dd4461119e5182eb111af42aba78d55e"),
+        (("gof", "", "1"), 1, EMPTY),
+        (("classify", "19", "3"), 0,
+         "901a6115d2db9b922581641d2bd076b00bb785b8507098f615e0da70bc346e4d"),
+        (("classify", "7", "1"), 0,
+         "d807a959ee04c8ed27d8603a7a72ce273cd6f6fb86a2fecdf816cce66d5280d2"),
+        (("classify", "4", "1"), 0,
+         "5e1d8ffd5c9f6ea8f3339eca3f6b9316c5cdea61833a6edebcc7cb52075fdb58"),
+        (("classify", "10", "3"), 0,
+         "e62622b16c52a9006444c212335c7c0f1ff74a6164f53ace0439532119f56c39"),
+        (("classify", "4", "2"), 1, EMPTY),
+        (("equiv", "10", "3", "10", "7", "--oriented", "--no-mirror"), 0,
+         "558eeaba04da036ffe04ddac619d3277e8f06f3daec505924807401e37d2443a"),
+        (("equiv", "4", "1", "4", "3", "--oriented"), 0,
+         "60b5e248ffdf33049572a482548e5d25dd77769359e32a0c41700abe8bc4074f"),
+        (("equiv", "4", "1", "4", "3"), 0,
+         "558eeaba04da036ffe04ddac619d3277e8f06f3daec505924807401e37d2443a"),
+        (("equiv", "5", "2", "5", "3", "--no-mirror"), 0,
+         "558eeaba04da036ffe04ddac619d3277e8f06f3daec505924807401e37d2443a"),
+        (("equiv", "4", "1", "4"), 1, EMPTY),
+        (("normalize", "19", "16"), 0,
+         "734c14ca850d77a6e26422000baed15f2abad79c91f502521a4dd1d8048aa578"),
+        (("normalize", "4", "2"), 1, EMPTY),
+        (("normalize", "0", "1"), 0,
+         "be09ed0515a75cb82d6f6d48cb908a3341ae74e24e0bb6bf05b83bec6031c7bd"),
+        (("normalize", "-19", "3"), 0,
+         "6f85267b5b0f89fffc0456df8d6c1bf9777c553d662240953f014e6050bd1f90"),
+        (("conway", "1,2,1"), 0,
+         "c0c199f66364936a84ee7b7e9867fcb89adbd230b87dac2dac0ea47f2d108bf1"),
+        (("conway", "1,2,-2"), 0,
+         "828561b1b2fe0665beaaf1800fea223709d416bf7a36cabca1018ec13435827f"),
+        (("conway", "-3,2"), 0,
+         "0f69b12dfcc8bf1ab1b263f0662c7da3738cad48354b0837bd03db03eb076273"),
+        (("conway", "+3,2"), 0,
+         "10846aefe644656a7c0fc894cb591d8ae0805a0265bfb0dc0e8703af61d2df81"),
+        (("conway", "--", "1"), 0,
+         "598009439f3f55f5dd75cddf2d79bd416ef8718edc3a0f6610e0ba7e227c5cac"),
+        (("conway", "--", "-3,2"), 0,
+         "0f69b12dfcc8bf1ab1b263f0662c7da3738cad48354b0837bd03db03eb076273"),
+        (("conway", "1", "2"), 1, EMPTY),
+        (("conway", "x"), 1, EMPTY),
+        (("conway",), 1, EMPTY),
+        (("conway", "1,,2"), 1, EMPTY),
+        (("conway", ""), 1, EMPTY),
+        (("enumerate", "--max", "10"), 0,
+         "45461a8a181783ded229824fc3fc2d528dc962b3e807ceca3d5fca3183480f38"),
+        (("enumerate", "--max", "10", "--format", "json"), 0,
+         "fca89fa85a5df489630b0039368679dc7dd2421e0823fae5607d50a7ff418ab9"),
+        (("enumerate", "--max", "0"), 0,
+         "265dc3b7bb6f439a851cdbe796f3005f1acb7c6a18c448723fe4b6e37313cd68"),
+        (("enumerate", "--max", "-1", "--format", "json"), 0,
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+        (("enumerate",), 1, EMPTY),
+        (("enumerate", "--max", "x"), 1, EMPTY),
+        (("enumerate", "--max", "5", "--format", "xml"), 1, EMPTY),
+        (("verify", "--suite", "identity", "--max", "5"), 0,
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+        (("verify", "--suite", "counts", "--max", "20"), 0,
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+        (("verify", "--suite", "orientation", "--max", "10"), 0,
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+        (("verify", "--max", "-1"), 1, EMPTY),
+        (("verify", "--suite", "nope"), 1, EMPTY),
+        ((), 1, EMPTY),
+        (("nonsense",), 1, EMPTY),
+        (("braid",), 1, EMPTY),
+        (("braid", "frobnicate", "1"), 1, EMPTY),
+        (("braid", "--", "nf", "1"), 1, EMPTY),
+        (("braid", "nf", "-1", "-2", "1"), 0,
+         "9d692b866e141bad3ea495300fe7a72519116ae5b90e3d61e998949c56e948a1"),
+        (("braid", "nf", "-2"), 0,
+         "f4aa879569c75183e0e3630cfe76eb652e05615eb6f3504f4b1fc4e98be37942"),
+        (("braid", "nf", "-1,-1,2"), 0,
+         "f4832d7e062fe6f43e9a806e41f998d859c4cfc4f2e15a503f7adb40e4159751"),
+        (("braid", "nf", "1", "--", "2"), 1, EMPTY),
+        (("braid", "nf", "-h"), 1, EMPTY),
+        (("braid", "nf", "+1"), 1, EMPTY),
+        (("braid", "nf", "3"), 1, EMPTY),
+        (("braid", "nf"), 0,
+         "330076ed9ca29d5d2f0d679243a62245c196042224d073e99cc7e6bf8d4897fa"),
+        (("braid", "exp", "1", "1", "-2"), 0,
+         "09dda92aec5e3bb8fa325f37a2abae3564499155408fb47763b80dcb3359e66e"),
+        (("braid", "exp", "-1,2,2"), 0,
+         "09dda92aec5e3bb8fa325f37a2abae3564499155408fb47763b80dcb3359e66e"),
+        (("braid", "mirror", "1", "2", "-1"), 0,
+         "73eca7c56aaa65231daf46e6e7b83a1bbb32452d10363e97a6bcb58ef62d84ac"),
+        (("braid", "mirror", "-1", "-3"), 1, EMPTY),
+        (("braid", "det", "1", "1", "1", "2"), 0,
+         "544526e50467d5f56791b5558940db921a420614586698ba8debc439094240aa"),
+        (("braid", "homology", "1", "1", "1", "1", "2"), 0,
+         "61048bca3720c33c7a18df9c8444b92b47322e0fc742518677fdae40b7577500"),
+        (("braid", "identify", "-1", "-1", "-1", "-1", "-1", "-2"), 0,
+         "d388b0f30f18dcb573fea4231abff9e4200105dd3b367647e413af5b1aa0c926"),
+        (("braid", "identify", "-1,-1,-1,-1,-1,-2"), 0,
+         "d388b0f30f18dcb573fea4231abff9e4200105dd3b367647e413af5b1aa0c926"),
+        (("braid", "identify", "1", "-1"), 2,
+         "a4d3a7937b859dfe272d8cb3502eaa350a5aa0332eaf22cc640042f9f36fa992"),
+        (("braid", "identify", "1", "1", "1", "1", "1", "1", "2", "2", "1", "-2"), 0,
+         "1ef611df8387726a4381425f83fbeb0fb1ce8b66491366644162a7ebbaebb438"),
+        (("braid", "identify", *["1", "-2"] * 20), 1, EMPTY),
+        (("braid", "identify"), 2,
+         "a4d3a7937b859dfe272d8cb3502eaa350a5aa0332eaf22cc640042f9f36fa992"),
+        (("braid", "conj", "1", "--", "2"), 0,
+         "6c221fc8fa5c8f1f2f3f20cbed2a2263a1c87dee38a564caff9354c76bb486f6"),
+        (("braid", "conj", "-1,2", "--", "2,-1"), 0,
+         "6c221fc8fa5c8f1f2f3f20cbed2a2263a1c87dee38a564caff9354c76bb486f6"),
+        (("braid", "conj", "1", "1", "2", "--", "2", "1", "1"), 0,
+         "6c221fc8fa5c8f1f2f3f20cbed2a2263a1c87dee38a564caff9354c76bb486f6"),
+        (("braid", "conj", "1", "2"), 1, EMPTY),
+        (("braid", "conj", "--"), 0,
+         "6c221fc8fa5c8f1f2f3f20cbed2a2263a1c87dee38a564caff9354c76bb486f6"),
+        (("braid", "conj", "1", "--", "2", "--", "1"), 1, EMPTY),
+        (("braid", "twist", "1", "1", "1", "1", "1", "1", "2"), 0,
+         "abe6eca3049231b33a3287ea7a65e3ef4863d26842f8de71361b1aea69ab6e8a"),
+        (("braid", "twist", "-1", "1", "2"), 0,
+         "50f82e5b138c720ac9ed5279c281e50ebb9d6806c42257d91f6a7a50fc9eb7ba"),
+        (("braid", "twist", "+5", "1"), 0,
+         "947a80347eecd14cefabf2c13fdee4eba6de3fb05f2e69686bf8328a10bbe5f8"),
+        (("braid", "twist", "x"), 1, EMPTY),
+        (("braid", "twist"), 1, EMPTY),
+        (("braid", "twist", "--", "1"), 1, EMPTY),
+        (("braid", "twist", "1", "--"), 1, EMPTY),
+        (("braid", "twist", "1000000000", "1"), 1, EMPTY),
+        (("braid", "twist", "0"), 0,
+         "67755650abfcec18e5a060c0ae56746a3bc0b52524e485b6e4aa40020317f9ad"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, digest", CASES, ids=[" ".join(c[0]) or "(empty)" for c in CASES])
+    def test_stdout_and_exit_code(self, capsys, argv, code, digest):
+        assert run(list(argv)) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # help pages depend on the terminal width and the Python version, so
+    # the help argv are pinned by what they print, not by a digest
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_lists_braid(self, capsys, flag):
+        assert run([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gofknots")
+        assert re.search(r"\{[a-z,]*\bbraid\b[a-z,]*\}", out)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_braid_help_lists_operations(self, capsys, flag):
+        assert run(["braid", flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gofknots braid")
+        for op in ("nf", "exp", "mirror", "identify", "det", "homology", "conj", "twist"):
+            assert op in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_conway_help_flag_is_a_digit_token(self, capsys, flag):
+        assert run(["conway", flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: conway digits must be integers, got {flag!r}\n"
+
+
+COMMANDS = ("gof", "classify", "equiv", "normalize", "conway", "enumerate", "verify", "braid")
+BRAID_OPS = ("nf", "exp", "mirror", "identify", "det", "homology", "conj", "twist")
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["1", "-1", "2", "-2", "1,-2", "-1,-1,2", "-3,2", "--", "-h", "--max", "--format", "json", "x", "", "+1"]
+    ),
+    st.integers(-40, 40).map(str),
+)
+
+
+@st.composite
+def argvs(draw):
+    head = [draw(st.one_of(st.sampled_from(COMMANDS), TOKENS))]
+    if head[0] == "braid":
+        head.append(draw(st.one_of(st.sampled_from(BRAID_OPS), TOKENS)))
+    elif head[0] == "verify":
+        # the other suites take seconds per call
+        head += ["--suite", "identity"]
+    return head + draw(st.lists(TOKENS, max_size=8))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                pytest.fail(f"{argv!r} raised SystemExit({exc.code!r})")
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().strip() and "Traceback" not in err.getvalue()
+
+
 class TestVerifyCommand:
     def test_identity_suite(self, capsys):
         code, doc = run_json(capsys, ["verify", "--suite", "identity", "--max", "10"])
@@ -302,18 +522,37 @@ class TestDeterminism:
         assert first
 
 
+def module_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_run(self, capsys):
         assert run(["gof", "19", "3"]) == 0
         expected = capsys.readouterr().out
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "gofknots", "gof", "19", "3"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=module_env(), timeout=60,
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == expected
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # as `gofknots enumerate --max 3000 | head -c 100` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gofknots", "enumerate", "--max", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestTopLevel:
