@@ -28,7 +28,7 @@ def main() -> None:
     print("value table:")
     for alpha, beta in VALUE_TABLE:
         report = classify.gof_count(alpha, beta)
-        witnesses = ", ".join(braid.format_word(w.word) for w in report.witnesses) or "-"
+        witnesses = ", ".join(braid.format_syllables(w.syllables) for w in report.witnesses) or "-"
         print(f"  L({alpha},{beta}): {report.count}   [{witnesses}]")
 
     print(f"\ncensus to alpha = {args.max}:")
@@ -42,7 +42,7 @@ def main() -> None:
         if report.count == 3:
             triples.append(pair)
         if report.family is not None and report.count == 1:
-            families.append((pair, report.family, report.witnesses[0].word))
+            families.append((pair, report.family, report.witnesses[0].syllables))
     elapsed = time.perf_counter() - t0
 
     total = sum(histogram.values())
@@ -54,8 +54,8 @@ def main() -> None:
 
     if args.show_families:
         print("\nfamily fractions (count 1):")
-        for pair, params, word in families:
-            print(f"  b{pair}  {params.family}(p={params.p},q={params.q})  {braid.format_word(word)}")
+        for pair, params, sylls in families:
+            print(f"  b{pair}  {params.family}(p={params.p},q={params.q})  {braid.format_syllables(sylls)}")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,14 @@ from .braid import (
     FULL_TWIST,
     HALF_TWIST,
     NormalForm,
+    Syllables,
     Word,
     concat,
     conjugacy_class,
     conjugate_by,
+    expand,
     exponent_sum,
+    format_syllables,
     format_word,
     invert,
     is_conjugate,
@@ -27,6 +30,7 @@ from .braid import (
     parse_word,
     reverse,
     surgery_twist,
+    syllable_class,
 )
 from .classify import (
     AxisReport,
@@ -46,6 +50,7 @@ from .cover import (
     Matrix2,
     SlopeSpec,
     burau_matrix,
+    burau_syllables,
     closure_determinant,
     dbc_homology,
     lift_slope,

@@ -9,11 +9,16 @@ exclude e and Delta, with each adjacent pair (s, t) left weighted (no
 generator can move from the front of t to the end of s keeping both simple).
 Normal forms solve the word problem.
 
+A word can also be given as syllables, pairs (generator, exponent) standing
+for sigma_g^e: the witness braids sigma_1^alpha sigma_2^+-1 have two
+syllables for alpha + 1 letters.
+
 Conjugacy is decided by Murasugi's classification of closed 3-braids: reduced
 Burau at -1 maps B3 onto SL2(Z) with kernel <Delta^4>, and Delta^4 has
 exponent sum 12, so two braids are conjugate exactly when their exponent sums
 agree and their Burau images are conjugate in SL2(Z).  The SL2(Z) class is
-read off the fixed-point quadratic form of the image.
+read off the fixed-point quadratic form of the image, so the conjugacy class
+of a syllable word costs one step per syllable.
 
 The six simples biject with the symmetric group S3, so all structural tables
 (products, maximal transferable prefixes, the Delta-conjugation flip) are
@@ -28,9 +33,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable
 
-from .cover import burau_matrix
+from .cover import Matrix2, burau_matrix, burau_syllables
 
 Word = tuple[int, ...]
+Syllable = tuple[int, int]  # (generator 1 or 2, exponent): sigma_g^e
+Syllables = tuple[Syllable, ...]
 
 LETTERS = (1, -1, 2, -2)
 
@@ -181,6 +188,18 @@ def parse_word(text: str) -> Word:
 
 def format_word(word: Word) -> str:
     return " ".join(map(str, word))
+
+
+def expand(syllables: Iterable[Syllable]) -> Word:
+    """The letters of a syllable word: (g, e) is |e| copies of sign(e) * g."""
+    return tuple(
+        itertools.chain.from_iterable(itertools.repeat(g if e > 0 else -g, abs(e)) for g, e in syllables)
+    )
+
+
+def format_syllables(syllables: Iterable[Syllable]) -> str:
+    """format_word(expand(syllables)), built by repeating each letter's text."""
+    return "".join([f"{g if e > 0 else -g} " * abs(e) for g, e in syllables])[:-1]
 
 
 def exponent_sum(word: Word) -> int:
@@ -336,7 +355,18 @@ def _least_in_cycle(form: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def conjugacy_class(word: Word) -> tuple:
-    """A complete conjugacy invariant: (exponent sum, trace, form class).
+    """A complete conjugacy invariant: (exponent sum, trace, form class)."""
+    word = check_word(word)
+    return _class_key(exponent_sum(word), burau_matrix(word))
+
+
+def syllable_class(syllables: Syllables) -> tuple:
+    """conjugacy_class of the word the syllables spell, from closed forms."""
+    return _class_key(sum(e for _, e in syllables), burau_syllables(syllables))
+
+
+def _class_key(exp_sum: int, m: Matrix2) -> tuple:
+    """The conjugacy invariant of a braid with this exponent sum and Burau image m.
 
     Conjugating the Burau image M = [[a, b], [c, d]] by U in SL2(Z) moves its
     fixed-point form (c, d - a, -b), of discriminant trace^2 - 4, by the
@@ -350,8 +380,6 @@ def conjugacy_class(word: Word) -> tuple:
       * |trace| >= 3: trace^2 - 4 is not a square; the least form in the
         reduction cycle, which carries the content.
     """
-    word = check_word(word)
-    m = burau_matrix(word)
     trace = m.trace
     form = (m.c, m.d - m.a, -m.b)
     if abs(trace) == 2:
@@ -361,7 +389,7 @@ def conjugacy_class(word: Word) -> tuple:
         form_class = 1 if form[0] > 0 else -1
     else:
         form_class = _least_in_cycle(form)
-    return (exponent_sum(word), trace, form_class)
+    return (exp_sum, trace, form_class)
 
 
 def is_conjugate(w1: Word, w2: Word) -> bool:

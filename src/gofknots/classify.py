@@ -6,10 +6,9 @@ GOF-knots in L(alpha, beta) is counting equivalence classes of 3-braid
 representatives of b(alpha, beta).  The decision tree:
 
   * alpha = 0 (two-component unlink): one axis, witness sigma_2.
-  * alpha = 1 (unknot): two axes, sigma_1 sigma_2 and sigma_1 sigma_2^-1.
-  * beta = +-1 mod alpha (torus links): two axes, sigma_1^alpha sigma_2 and
-    sigma_1^alpha sigma_2^-1, except alpha = 4 which picks up a third from
-    the other orientation of b(4,1).
+  * beta = +-1 mod alpha (torus links, and the unknot at alpha = 1): two
+    axes, sigma_1^alpha sigma_2 and sigma_1^alpha sigma_2^-1, except
+    alpha = 4 which picks up a third from the other orientation of b(4,1).
   * otherwise: one axis iff some odd member beta* of the mirror orbit solves
     a Murasugi braid-index-3 family,
 
@@ -20,12 +19,17 @@ representatives of b(alpha, beta).  The decision tree:
     sigma_1^p sigma_2^2 sigma_1^q sigma_2^-1 (family one) and
     sigma_1^p sigma_2^2 sigma_1^-(q+1) sigma_2^-1 (family two).
 
-No fraction ever yields more than three axes.  The closure of a word is
-identified by its determinant alpha = |det(M - I)|: its conjugacy invariant
-and its mirror's (exponent sum and SL2(Z) class of the Burau image) are
-compared with the witnesses and flype partners of (alpha, 1) and of the
-fractions of the family members, the odd divisors of 2*alpha +- 1.  By the
-tree above, no other fraction of determinant alpha has a 3-braid.
+No fraction ever yields more than three axes.  Witnesses are held as
+syllables, ((1, alpha), (2, 1)) for sigma_1^alpha sigma_2, so a report costs
+the same at every alpha; Witness.word spells the letters out on each access.
+
+The closure of a word is identified by its determinant alpha = |det(M - I)|:
+its conjugacy invariant and its mirror's (exponent sum and SL2(Z) class of
+the Burau image) are compared with the witnesses and flype partners of
+(alpha, 1) and of the fractions of the family members, the odd divisors of
+2*alpha +- 1.  By the tree above, no other fraction of determinant alpha has
+a 3-braid.  The invariants of the candidates come from their syllables
+(braid.syllable_class), one step per syllable.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
 from . import braid, cover, twobridge
-from .braid import Word
+from .braid import Syllables, Word
 from .twobridge import Fraction
 
 FAMILY_ONE = "one"
@@ -73,9 +77,17 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class Witness:
-    word: Word
+    # nonzero exponents and neighbours of distinct generators, so that equal
+    # braid words give equal witnesses
+    syllables: Syllables
     kind: str  # TORUS_POSITIVE, TORUS_NEGATIVE or FLYPE_FAMILY
     family: Optional[FamilyParams] = None
+
+    @property
+    def word(self) -> Word:
+        """The braid as letters, built anew on each access: a torus witness
+        has alpha + 1 of them, so none is kept."""
+        return braid.expand(self.syllables)
 
     @property
     def label(self) -> str:
@@ -107,7 +119,12 @@ class AxisReport:
 class ClosureId:
     fraction: Fraction
     mirrored: bool
-    matched_witness: Word
+    matched_syllables: Syllables
+
+    @property
+    def matched_witness(self) -> Word:
+        """The matched witness as letters, built anew on each access."""
+        return braid.expand(self.matched_syllables)
 
 
 def family_membership(alpha: int, beta_star: int) -> Optional[FamilyParams]:
@@ -126,25 +143,24 @@ def family_membership(alpha: int, beta_star: int) -> Optional[FamilyParams]:
     return None
 
 
-def family_witness(params: FamilyParams) -> Word:
-    """The closed 3-braid representing the family link, determinant alpha."""
-    q_block = params.q if params.family == FAMILY_ONE else -(params.q + 1)
-    return _sig1(params.p) + (2, 2) + _sig1(q_block) + (-2,)
+def _q_exponent(params: FamilyParams) -> int:
+    return params.q if params.family == FAMILY_ONE else -(params.q + 1)
 
 
-def flype_partner(params: FamilyParams) -> Word:
+def family_witness(params: FamilyParams) -> Syllables:
+    """The closed 3-braid representing the family link, determinant alpha:
+    sigma_1^p sigma_2^2 sigma_1^e sigma_2^-1, e = q or -(q + 1), as syllables."""
+    return ((1, params.p), (2, 2), (1, _q_exponent(params)), (2, -1))
+
+
+def flype_partner(params: FamilyParams) -> Syllables:
     """The flype mate of the witness: the sigma_2 blocks exchanged.
 
     An involution of the link swaps the two axes, so the partner never counts
     as a separate axis class, but it can be a distinct conjugacy class and is
     needed when recognising arbitrary representatives.
     """
-    q_block = params.q if params.family == FAMILY_ONE else -(params.q + 1)
-    return _sig1(params.p) + (-2,) + _sig1(q_block) + (2, 2)
-
-
-def _sig1(k: int) -> Word:
-    return (1,) * k if k >= 0 else (-1,) * (-k)
+    return ((1, params.p), (2, -1), (1, _q_exponent(params)), (2, 2))
 
 
 def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
@@ -188,16 +204,11 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
     """
     notes = _notes_for(f)
     if f.alpha == 0:
-        return AxisReport(f, (Witness((2,), TORUS_POSITIVE),), notes)
-    if f.alpha == 1:
-        return AxisReport(f, (Witness((1, 2), TORUS_POSITIVE), Witness((1, -2), TORUS_NEGATIVE)), notes)
-    if f.beta == 1:
-        # each word builds its own sigma_1^alpha: one shared block stays
-        # alive beside both words, which raised the peak memory of a run of
-        # queries up to alpha = 10^6 from 42 to 49 MiB
+        return AxisReport(f, (Witness(((2, 1),), TORUS_POSITIVE),), notes)
+    if f.beta == 1:  # alpha = 1 too: the unknot closes sigma_1 sigma_2^+-1
         witnesses = (
-            Witness(_sig1(f.alpha) + (2,), TORUS_POSITIVE),
-            Witness(_sig1(f.alpha) + (-2,), TORUS_NEGATIVE),
+            Witness(((1, f.alpha), (2, 1)), TORUS_POSITIVE),
+            Witness(((1, f.alpha), (2, -1)), TORUS_NEGATIVE),
         )
         if f.alpha == 4:
             # the reversed orientation of b(4,1) is the Conway (1,2,1) link
@@ -277,14 +288,14 @@ def census(max_alpha: int) -> Iterator[AxisReport]:
             yield _report(f, members.get(f.beta))
 
 
-def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Word]:
-    """Every 3-braid representative of b(f), one word per conjugacy class.
+def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Syllables]:
+    """Every 3-braid representative of b(f), one syllable word per conjugacy class.
 
     The witnesses of _report(f, members), then the witness and flype partner
     of every family hit not yet listed: the partner and the hits other than
     the chosen one can be conjugacy classes of their own.
     """
-    words = [w.word for w in _report(f, members).witnesses]
+    words = [w.syllables for w in _report(f, members).witnesses]
     yield from words
     for params in family_hits(f.alpha, members or ()):
         for w in (family_witness(params), flype_partner(params)):
@@ -299,8 +310,10 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     Walks (alpha, 1), then the canonical fractions of the family members of
     alpha = |det(M - I)| in increasing beta: the only fractions with a
     3-braid.  Returns the first candidate whose conjugacy class
-    (braid.conjugacy_class) is that of the word or of its mirror.  None
+    (braid.syllable_class) is that of the word or of its mirror.  None
     means no witness realises the closure (it need not be two-bridge).
+    The candidates stay syllables, so the work beyond reading the word is
+    the trial division of 2*alpha +- 1.
     """
     word = braid.check_word(word)
     alpha = cover.closure_determinant(word)
@@ -312,7 +325,7 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     for beta in sorted(members.keys() | {1}):  # every one a canonical beta
         f = twobridge._trusted(alpha, beta)
         for candidate in _candidates(f, members.get(beta)):
-            key = braid.conjugacy_class(candidate)
+            key = braid.syllable_class(candidate)
             for mirrored, target in targets:
                 if key == target:
                     return ClosureId(f, mirrored, candidate)

@@ -3,9 +3,10 @@
 Every subcommand prints a single JSON document (or a TSV table for
 ``enumerate --format tsv``) on stdout and is deterministic: identical argv
 yields byte-identical output.  Exit codes: 0 on success, 1 on invalid input
-(the message names the offending token) or when ``braid twist`` or
-``braid identify`` would build a word past MAX_WORD_LETTERS letters, 2 when
-``braid identify`` does not recognise the closure.
+(the message names the offending token) or when ``gof``, ``classify``,
+``braid twist`` or ``braid identify`` would print a word past
+MAX_WORD_LETTERS letters, 2 when ``braid identify`` does not recognise the
+closure.
 
 One argparse tree parses every command.  Braid words are trailing arguments,
 e.g. ``braid nf 1 1 -2``; ``braid conj`` separates its two words with ``--``.
@@ -27,9 +28,9 @@ from . import braid, classify, cover, twobridge, verify
 # byte, so with it as the only prefix character every token is data
 _RAW_TOKENS = {"prefix_chars": "\0", "add_help": False}
 
-# longest word `braid twist` prints (each twist count step adds 12 letters),
-# and largest closure determinant `braid identify` accepts: its torus
-# witnesses are that long
+# longest word `gof`, `classify` and `braid twist` print (each twist count
+# step adds 12 letters), and largest closure determinant `braid identify`
+# accepts: its torus witnesses are that long
 MAX_WORD_LETTERS = 1_000_000
 
 
@@ -42,6 +43,13 @@ def _fraction_json(f: twobridge.Fraction) -> list[int]:
 
 
 def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: str) -> dict:
+    for w in report.witnesses:
+        letters = sum(abs(e) for _, e in w.syllables)
+        if letters > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"the {w.label} witness of b({alpha},{beta}) has {letters} letters, "
+                f"above the {MAX_WORD_LETTERS}-letter limit"
+            )
     out = {
         "alpha": alpha,
         "beta": beta,
@@ -113,7 +121,7 @@ def _cmd_enumerate(args) -> None:
         for report in classify.census(args.max):
             f = report.fraction
             ws = report.witnesses
-            words = ";".join([braid.format_word(w.word) for w in ws]) if ws else ""
+            words = ";".join([braid.format_syllables(w.syllables) for w in ws])
             out.write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
 
 

@@ -11,6 +11,10 @@ Both defining relations hold and the full twist (sigma_1 sigma_2)^3 maps to
 two-bridge link the closure realises; the Smith normal form of M - I gives
 the first homology of the double cover of the 3-sphere branched over that
 closure.
+
+Powers have closed forms, sigma_1^k -> [[1, k], [0, 1]] and
+sigma_2^k -> [[1, 0], [-k, 1]], so a word given as syllables (generator,
+exponent) maps in one step per syllable, whatever its length in letters.
 """
 
 from __future__ import annotations
@@ -67,6 +71,23 @@ def burau_matrix(word: Iterable[int]) -> Matrix2:
         except (KeyError, TypeError):
             raise ValueError(f"invalid braid letter {k!r}") from None
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return Matrix2(a, b, c, d)
+
+
+def burau_syllables(syllables: Iterable[tuple[int, int]]) -> Matrix2:
+    """burau_matrix of the word spelled by (generator, exponent) syllables.
+
+    Multiplies the closed-form powers in word order; zero exponents and
+    neighbouring syllables of one generator are allowed.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for gen, k in syllables:
+        if gen == 1:
+            b, d = a * k + b, c * k + d
+        elif gen == 2:
+            a, c = a - b * k, c - d * k
+        else:
+            raise ValueError(f"invalid braid generator {gen!r}")
     return Matrix2(a, b, c, d)
 
 

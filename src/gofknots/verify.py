@@ -193,8 +193,9 @@ def verify_burau_witnesses(
         for p in range(1, max_pq + 1):
             for q in range(1, max_pq + 1):
                 params = classify.FamilyParams(family, p, q)
-                for word in (classify.family_witness(params), classify.flype_partner(params)):
-                    det = cover.closure_determinant(word)
+                for sylls in (classify.family_witness(params), classify.flype_partner(params)):
+                    # letter by letter, apart from the closed forms classify uses
+                    det = cover.closure_determinant(braid.expand(sylls))
                     if det != params.alpha:
                         violations.append(
                             Violation("burau", {"family": family, "p": p, "q": q}, params.alpha, det)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofknots import braid as B
@@ -413,6 +413,46 @@ class TestSummitSets:
     def test_delta_powers_are_singletons(self):
         assert O.super_summit_set(B.HALF_TWIST) == frozenset({B.NormalForm(1, ())})
         assert O.super_summit_set(B.FULL_TWIST) == frozenset({B.NormalForm(2, ())})
+
+
+def _spelled(syllables):
+    """The letters of a syllable word, one at a time."""
+    letters = []
+    for gen, e in syllables:
+        for _ in range(abs(e)):
+            letters.append(gen if e > 0 else -gen)
+    return tuple(letters)
+
+
+# zero exponents and neighbouring syllables of one generator included
+syllable_words = st.lists(
+    st.tuples(st.sampled_from((1, 2)), st.integers(min_value=-9, max_value=9)), max_size=8
+).map(tuple)
+
+
+class TestSyllables:
+    @given(syllable_words)
+    @example(((1, 0),))
+    @example(((1, 3), (1, -5), (2, 0), (2, 2)))
+    @example(((2, -4), (1, 7), (2, 1)))
+    @settings(max_examples=400)
+    def test_closed_forms_match_the_letters(self, sylls):
+        letters = _spelled(sylls)
+        assert B.expand(sylls) == letters
+        assert B.format_syllables(sylls) == " ".join(str(k) for k in letters)
+        assert cover.burau_syllables(sylls) == cover.burau_matrix(letters)
+        assert B.syllable_class(sylls) == B.conjugacy_class(letters)
+
+    def test_torus_key_at_any_alpha(self):
+        # sigma_1^k sigma_2^-1 maps to [[1 + k, k], [1, 1]]: trace k + 2
+        for k in (5, 10**6, 10**15):
+            key = B.syllable_class(((1, k), (2, -1)))
+            assert key[:2] == (k - 1, k + 2)
+        assert B.syllable_class(((1, 40), (2, -1))) == B.conjugacy_class((1,) * 40 + (-2,))
+
+    def test_bad_generator_rejected(self):
+        with pytest.raises(ValueError):
+            cover.burau_syllables(((3, 1),))
 
 
 class TestSurgeryTwist:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,16 @@ class TestAxisClasses:
         assert report.count == 1
         assert report.witnesses[0].word == (1, 1, 1, 1, 1, 1, 2, 2, 1, -2)
         assert report.family == classify.FamilyParams("one", 6, 1)
+
+    def test_witnesses_are_syllables_at_any_alpha(self):
+        assert classify.axis_classes(19, 3).witnesses[0].syllables == ((1, 6), (2, 2), (1, 1), (2, -1))
+        big = 10**15
+        pos, neg = classify.gof_count(big, 1).witnesses
+        assert (pos.syllables, neg.syllables) == (((1, big), (2, 1)), ((1, big), (2, -1)))
+        # family two, (p, q) = (2, 1): the second sigma_1 block is sigma_1^-2
+        (w,) = classify.gof_count(8, 3).witnesses
+        assert w.syllables == ((1, 2), (2, 2), (1, -2), (2, -1))
+        assert w.word == (1, 1, 2, 2, -1, -1, -2)
 
 
 class TestGofCount:
@@ -226,6 +237,19 @@ class TestIdentifyClosure:
     def test_mirrored_flag_orientation(self):
         cid = classify.identify_closure((-1, -1, -1, -2))
         assert cid.fraction.pair == (3, 1) and cid.mirrored is True
+
+    def test_large_determinant_miss_in_bounded_memory(self):
+        # no candidate is spelled out: the torus witnesses of this
+        # determinant would be two 4 870 846-letter words, 39 MB each
+        word = (1, -2) * 16
+        assert cover.closure_determinant(word) == 4870845
+        tracemalloc.start()
+        try:
+            assert classify.identify_closure(word) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestIdentifyClosureWithoutScan(TestIdentifyClosure):

@@ -45,6 +45,25 @@ class TestGof:
         _, doc = run_json(capsys, ["gof", "5", "2"])
         assert list(doc) == ["alpha", "beta", "canonical", "gof_count", "witnesses", "labels", "notes"]
 
+    @pytest.mark.parametrize("command", ["gof", "classify"])
+    def test_long_witness_rejected_at_once(self, capsys, command):
+        # the torus witnesses of b(10^15, 1) have 10^15 + 1 letters
+        start = time.perf_counter()
+        assert run([command, "1000000000000000", "1"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1000000000000001 letters" in captured.err
+
+    def test_witness_letter_limit_boundary(self, capsys, monkeypatch):
+        # the torus witnesses of b(5, 1) have 6 letters
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 6)
+        code, doc = run_json(capsys, ["gof", "5", "1"])
+        assert code == 0 and doc["witnesses"] == [[1, 1, 1, 1, 1, 2], [1, 1, 1, 1, 1, -2]]
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 5)
+        assert run(["gof", "5", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "6 letters" in captured.err
+
 
 class TestClassify:
     def test_report_fields(self, capsys):
@@ -251,7 +270,9 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 class TestArgvGolden:
     # sha256 of stdout and the exit code of each argv, computed with the
     # parser that dispatched `braid` by hand and inserted `--` before a
-    # dash-leading Conway digit; one argparse tree must give the same
+    # dash-leading Conway digit; one argparse tree must give the same.  The
+    # two argv whose witnesses pass MAX_WORD_LETTERS are newer: that parser
+    # printed the 10^7-letter words and ran out of memory on the 10^15 ones
     CASES = [
         (("gof", "19", "3"), 0,
          "9138370245169e19701e5224014962c76ce10a8b50f0ffd81d603f7b7c13044f"),
@@ -269,6 +290,8 @@ class TestArgvGolden:
         (("gof", "-19", "3"), 0,
          "65f93c39249d40bc67af5d1302dc9530dd4461119e5182eb111af42aba78d55e"),
         (("gof", "", "1"), 1, EMPTY),
+        (("gof", "1000000000000000", "1"), 1, EMPTY),
+        (("classify", "10000019", "1"), 1, EMPTY),
         (("classify", "19", "3"), 0,
          "901a6115d2db9b922581641d2bd076b00bb785b8507098f615e0da70bc346e4d"),
         (("classify", "7", "1"), 0,
