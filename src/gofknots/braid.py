@@ -9,6 +9,13 @@ exclude e and Delta, with each adjacent pair (s, t) left weighted (no
 generator can move from the front of t to the end of s keeping both simple).
 Normal forms solve the word problem.
 
+B3 modulo its centre <Delta^2> is PSL2(Z) = Z/2 * Z/3, so every element is
+Delta^d P with P a positive word containing no three letters `a b a` in a
+row.  The normal form is computed from that in one pass over the letters,
+with a stack and no tables; in this form the simples s_i are the alternating
+runs of P, and a pair is left weighted exactly when the last letter of s is
+the first letter of t.
+
 A word can also be given as syllables, pairs (generator, exponent) standing
 for sigma_g^e: the witness braids sigma_1^alpha sigma_2^+-1 have two
 syllables for alpha + 1 letters.
@@ -19,10 +26,6 @@ exponent sum 12, so two braids are conjugate exactly when their exponent sums
 agree and their Burau images are conjugate in SL2(Z).  The SL2(Z) class is
 read off the fixed-point quadratic form of the image, so the conjugacy class
 of a syllable word costs one step per syllable.
-
-The six simples biject with the symmetric group S3, so all structural tables
-(products, maximal transferable prefixes, the Delta-conjugation flip) are
-computed here by brute force over S3 and asserted once at import.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class BraidParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# simples and their tables (indices 0..5)
+# simples (indices 0..5)
 # ---------------------------------------------------------------------------
 
 E, S1, S2, S12, S21, DELTA = range(6)
@@ -63,84 +66,10 @@ SIMPLE_WORDS: dict[int, Word] = {
     S21: (2, 1),
     DELTA: (1, 2, 1),
 }
-
-_GEN_PERM = {1: (1, 0, 2), 2: (0, 2, 1)}
-
-
-def _compose(a, b):
-    # strand starting at i ends at b[a[i]]: apply a, then b
-    return (b[a[0]], b[a[1]], b[a[2]])
-
-
-def _perm_inv(p):
-    q = [0, 0, 0]
-    for i, x in enumerate(p):
-        q[x] = i
-    return tuple(q)
-
-
-def _inversions(p):
-    return sum(1 for i, j in itertools.combinations(range(3), 2) if p[i] > p[j])
-
-
-def _perm_of_word(word):
-    p = (0, 1, 2)
-    for k in word:
-        p = _compose(p, _GEN_PERM[abs(k)])
-    return p
-
-
-_SIMPLE_PERM = {s: _perm_of_word(w) for s, w in SIMPLE_WORDS.items()}
-_PERM_SIMPLE = {p: s for s, p in _SIMPLE_PERM.items()}
-_LEN = {s: len(w) for s, w in SIMPLE_WORDS.items()}
+_SIMPLE_OF = {w: s for s, w in SIMPLE_WORDS.items()}
 
 # tau is conjugation by Delta; it swaps sigma_1 <-> sigma_2 and has order 2
 _TAU = (E, S2, S1, S21, S12, DELTA)
-
-# left complements: Delta = comp(s) * s, i.e. comp(s) = Delta * s^-1, so
-# s^-1 = Delta^-1 * comp(s)
-_LEFT_COMP = {}
-for _s, _p in _SIMPLE_PERM.items():
-    _c = _PERM_SIMPLE[_compose(_SIMPLE_PERM[DELTA], _perm_inv(_p))]
-    assert _LEN[_c] + _LEN[_s] == 3
-    assert _compose(_SIMPLE_PERM[_c], _p) == _SIMPLE_PERM[DELTA]
-    _LEFT_COMP[_s] = _c
-
-_NEG_LETTER = {1: _LEFT_COMP[S1], 2: _LEFT_COMP[S2]}
-
-
-def _build_renorm():
-    """For each pair (x, y), transfer the maximal simple prefix of y onto x.
-
-    The transferable prefixes of y that keep x * u simple are closed under
-    join, so there is a unique maximal one; the pair is left weighted exactly
-    when that maximum is trivial, i.e. when the transfer leaves x unchanged.
-    """
-    renorm = [[None] * 6 for _ in range(6)]
-    for x, y in itertools.product(range(6), range(6)):
-        candidates = []
-        for u in range(6):
-            quot = _compose(_perm_inv(_SIMPLE_PERM[u]), _SIMPLE_PERM[y])
-            if _inversions(quot) != _LEN[y] - _LEN[u]:
-                continue  # u is not a prefix of y
-            prod = _compose(_SIMPLE_PERM[x], _SIMPLE_PERM[u])
-            if _inversions(prod) != _LEN[x] + _LEN[u]:
-                continue  # x * u is not simple
-            candidates.append((u, _PERM_SIMPLE[prod], _PERM_SIMPLE[quot]))
-        top = max(_LEN[u] for u, _, _ in candidates)
-        best = [c for c in candidates if _LEN[c[0]] == top]
-        assert len(best) == 1, f"maximal transfer not unique for pair ({x}, {y})"
-        u, xu, quot = best[0]
-        renorm[x][y] = (xu, quot)
-    return tuple(map(tuple, renorm))
-
-
-_RENORM = _build_renorm()
-
-# tau commutes with renormalisation (needed for moving Delta powers around)
-for _x, _y in itertools.product(range(6), range(6)):
-    _a, _b = _RENORM[_x][_y]
-    assert _RENORM[_TAU[_x]][_TAU[_y]] == (_TAU[_a], _TAU[_b])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +180,7 @@ class NormalForm:
 
     @property
     def exponent_sum(self) -> int:
-        return 3 * self.delta_power + sum(_LEN[f] for f in self.factors)
+        return 3 * self.delta_power + sum(len(SIMPLE_WORDS[f]) for f in self.factors)
 
     def factor_words(self) -> tuple[Word, ...]:
         return tuple(SIMPLE_WORDS[f] for f in self.factors)
@@ -270,53 +199,46 @@ class NormalForm:
         return NormalForm(self.delta_power, tuple(_TAU[f] for f in self.factors))
 
 
-def _strip(factors: list[int]) -> tuple[int, tuple[int, ...]]:
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == DELTA:
-        lo += 1
-    while lo < hi and factors[hi - 1] == E:
-        hi -= 1
-    return lo, tuple(factors[lo:hi])
-
-
-def _normalize_factors(factors: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Left weight an arbitrary factor sequence by local transfers.
-
-    Each transfer strictly moves letter weight to the left, so iterating to a
-    fixpoint terminates; at the fixpoint Deltas sit at the front and trivial
-    factors at the back, where _strip removes them.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            na, nb = _RENORM[a][b]
-            if na != a:
-                factors[i], factors[i + 1] = na, nb
-                changed = True
-    return _strip(factors)
-
-
 def normal_form(word: Word) -> NormalForm:
-    """The unique left weighted normal form of a word."""
-    factors: list[int] = []
-    shifts: list[int] = []
+    """The unique left weighted normal form of a word, in one pass.
+
+    Every braid is Delta^d P for a unique d and a unique positive word P with
+    no three letters `a b a` (a != b) in a row: no braid relation applies to
+    such a word, so it is the only positive word of its element, and Delta
+    does not divide it.  The letters go onto a stack that holds P:
+    sigma_a^-1 = Delta^-1 sigma_a sigma_b, and a letter that completes `a b a`
+    on top of the stack pops the two below it as one Delta.  Each Delta^+-1
+    moves to the front, applying tau to the letters it passes; the stack is
+    read through tau^flip, one parity bit, instead of being rewritten.  The
+    simples of P are its alternating runs, cut between equal neighbours.
+    """
+    delta = flip = 0
+    stack: list[int] = []
     for k in check_word(word):
         if k > 0:
-            factors.append(S1 if k == 1 else S2)
-            shifts.append(0)
+            letters: Word = (k,)
         else:
-            factors.append(_NEG_LETTER[-k])
-            shifts.append(-1)
-    # every Delta^-1 moves to the front, twisting the factors it passes
-    suffix = 0
-    for j in range(len(factors) - 1, -1, -1):
-        if suffix % 2:
-            factors[j] = _TAU[factors[j]]
-        suffix += shifts[j]
-    carry, normalized = _normalize_factors(factors)
-    return NormalForm(sum(shifts) + carry, normalized)
+            delta -= 1
+            flip ^= 1
+            letters = (-k, 3 + k)
+        for g in letters:
+            if flip:  # the stack holds tau^flip of the letters of P
+                g = 3 - g
+            if len(stack) > 1 and stack[-2] == g != stack[-1]:
+                del stack[-2:]
+                delta += 1
+                flip ^= 1
+            else:
+                stack.append(g)
+    factors: list[int] = []
+    for i, g in enumerate(stack):
+        if i and g != stack[i - 1]:
+            factors[-1] = _SIMPLE_OF[stack[i - 1], g]
+        else:
+            factors.append(_SIMPLE_OF[(g,)])
+    if flip:
+        factors = [_TAU[f] for f in factors]
+    return NormalForm(delta, tuple(factors))
 
 
 def is_equal(w1: Word, w2: Word) -> bool:

@@ -30,7 +30,8 @@ _RAW_TOKENS = {"prefix_chars": "\0", "add_help": False}
 
 # longest word `gof`, `classify` and `braid twist` print (each twist count
 # step adds 12 letters), and largest closure determinant `braid identify`
-# accepts: its torus witnesses are that long
+# accepts: its torus witnesses are that long, and identify_closure
+# trial-divides 2*det +- 1, whose cost grows as sqrt(det)
 MAX_WORD_LETTERS = 1_000_000
 
 

@@ -9,7 +9,7 @@ values so a failure can be re-checked by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from math import gcd
 
 from . import braid, classify, cover, twobridge
@@ -37,11 +37,13 @@ class Violation:
     actual: object
 
     def as_json(self) -> dict:
+        """The record as plain JSON values; a dataclass value becomes a dict."""
+        plain = lambda value: asdict(value) if is_dataclass(value) else value
         return {
             "suite": self.suite,
             "params": self.params,
-            "expected": self.expected,
-            "actual": self.actual,
+            "expected": plain(self.expected),
+            "actual": plain(self.actual),
         }
 
 

@@ -1,38 +1,129 @@
-"""Garside super summit set engine, kept as an independent conjugacy oracle.
+"""Garside machinery for B3, kept as an independent test oracle.
 
-This is the classical decision procedure for conjugacy in B3: cycle and
-decycle a normal form into the super summit set (conjugates of maximal inf
-and minimal sup), then close that set up under conjugation by simples.  Two
-braids are conjugate exactly when their summit sets coincide.  It shares
-only the normal form with the library, so it can check
-braid.conjugacy_class, which goes through the Burau image instead.
+The six simples biject with the symmetric group S3, so the structural tables
+(maximal transferable prefixes, left complements) are computed here by brute
+force over S3 and asserted once at import.  Combing by those tables gives
+nf_mul, the product of two normal forms, and folding nf_mul over the letters
+of a word gives normal_form.  None of this shares an algorithm with
+braid.normal_form, which reads the word once onto a stack, so each checks the
+other.
+
+On top of it sits the classical decision procedure for conjugacy in B3:
+cycle and decycle a normal form into the super summit set (conjugates of
+maximal inf and minimal sup), then close that set up under conjugation by
+simples.  Two braids are conjugate exactly when their summit sets coincide.
+It checks braid.conjugacy_class, which goes through the Burau image instead.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 from gofknots.braid import (
     DELTA,
+    E,
     S1,
     S12,
     S2,
     S21,
+    SIMPLE_WORDS,
     NormalForm,
     Word,
-    _LEFT_COMP,
-    _RENORM,
     _TAU,
-    _strip,
-    normal_form,
+    check_word,
 )
 
+# ---------------------------------------------------------------------------
+# the simples as permutations of S3, and their tables
+# ---------------------------------------------------------------------------
 
-def inf(v: NormalForm) -> int:
-    return v.delta_power
+_GEN_PERM = {1: (1, 0, 2), 2: (0, 2, 1)}
 
 
-def sup(v: NormalForm) -> int:
-    return v.delta_power + len(v.factors)
+def _compose(a, b):
+    # strand starting at i ends at b[a[i]]: apply a, then b
+    return (b[a[0]], b[a[1]], b[a[2]])
 
+
+def _perm_inv(p):
+    q = [0, 0, 0]
+    for i, x in enumerate(p):
+        q[x] = i
+    return tuple(q)
+
+
+def _inversions(p):
+    return sum(1 for i, j in itertools.combinations(range(3), 2) if p[i] > p[j])
+
+
+def _perm_of_word(word):
+    p = (0, 1, 2)
+    for k in word:
+        p = _compose(p, _GEN_PERM[abs(k)])
+    return p
+
+
+_SIMPLE_PERM = {s: _perm_of_word(w) for s, w in SIMPLE_WORDS.items()}
+_PERM_SIMPLE = {p: s for s, p in _SIMPLE_PERM.items()}
+_LEN = {s: len(w) for s, w in SIMPLE_WORDS.items()}
+
+# left complements: Delta = comp(s) * s, i.e. comp(s) = Delta * s^-1, so
+# s^-1 = Delta^-1 * comp(s)
+_LEFT_COMP = {}
+for _s, _p in _SIMPLE_PERM.items():
+    _c = _PERM_SIMPLE[_compose(_SIMPLE_PERM[DELTA], _perm_inv(_p))]
+    assert _LEN[_c] + _LEN[_s] == 3
+    assert _compose(_SIMPLE_PERM[_c], _p) == _SIMPLE_PERM[DELTA]
+    _LEFT_COMP[_s] = _c
+
+
+def _build_renorm():
+    """For each pair (x, y), transfer the maximal simple prefix of y onto x.
+
+    The transferable prefixes of y that keep x * u simple are closed under
+    join, so there is a unique maximal one; the pair is left weighted exactly
+    when that maximum is trivial, i.e. when the transfer leaves x unchanged.
+    """
+    renorm = [[None] * 6 for _ in range(6)]
+    for x, y in itertools.product(range(6), range(6)):
+        candidates = []
+        for u in range(6):
+            quot = _compose(_perm_inv(_SIMPLE_PERM[u]), _SIMPLE_PERM[y])
+            if _inversions(quot) != _LEN[y] - _LEN[u]:
+                continue  # u is not a prefix of y
+            prod = _compose(_SIMPLE_PERM[x], _SIMPLE_PERM[u])
+            if _inversions(prod) != _LEN[x] + _LEN[u]:
+                continue  # x * u is not simple
+            candidates.append((u, _PERM_SIMPLE[prod], _PERM_SIMPLE[quot]))
+        top = max(_LEN[u] for u, _, _ in candidates)
+        best = [c for c in candidates if _LEN[c[0]] == top]
+        assert len(best) == 1, f"maximal transfer not unique for pair ({x}, {y})"
+        u, xu, quot = best[0]
+        renorm[x][y] = (xu, quot)
+    return tuple(map(tuple, renorm))
+
+
+_RENORM = _build_renorm()
+
+# tau commutes with renormalisation (needed for moving Delta powers around)
+for _x, _y in itertools.product(range(6), range(6)):
+    _a, _b = _RENORM[_x][_y]
+    assert _RENORM[_TAU[_x]][_TAU[_y]] == (_TAU[_a], _TAU[_b])
+
+
+def _strip(factors: list[int]) -> tuple[int, tuple[int, ...]]:
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == DELTA:
+        lo += 1
+    while lo < hi and factors[hi - 1] == E:
+        hi -= 1
+    return lo, tuple(factors[lo:hi])
+
+
+# ---------------------------------------------------------------------------
+# normal forms by combing
+# ---------------------------------------------------------------------------
 
 def left_weighted(a: int, b: int) -> bool:
     """The pair (a, b) is left weighted: no prefix of b transfers onto a."""
@@ -77,6 +168,25 @@ _SIMPLE_NF = {s: NormalForm(0, (s,)) for s in (S1, S2, S12, S21)}
 _SIMPLE_NF[DELTA] = NormalForm(1, ())
 _SIMPLE_INV_NF = {s: NormalForm(-1, (_LEFT_COMP[s],)) for s in (S1, S2, S12, S21)}
 _SIMPLE_INV_NF[DELTA] = NormalForm(-1, ())
+
+
+def normal_form(word: Word) -> NormalForm:
+    """The normal form of a word: nf_mul folded over its letters."""
+    gen = {1: S1, 2: S2}
+    letters = [_SIMPLE_NF[gen[k]] if k > 0 else _SIMPLE_INV_NF[gen[-k]] for k in check_word(word)]
+    return reduce(nf_mul, letters, NormalForm(0, ()))
+
+
+# ---------------------------------------------------------------------------
+# cycling, decycling and super summit sets
+# ---------------------------------------------------------------------------
+
+def inf(v: NormalForm) -> int:
+    return v.delta_power
+
+
+def sup(v: NormalForm) -> int:
+    return v.delta_power + len(v.factors)
 
 
 def cycle(v: NormalForm) -> NormalForm:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +192,24 @@ class TestNormalForm:
                 for da, db in ((0, 0), (1, 0), (0, -1), (-1, 1)):
                     x, y = B.NormalForm(da, fa), B.NormalForm(db, fb)
                     assert O.nf_mul(x, y) == B.normal_form(x.to_word() + y.to_word())
+
+    def test_one_pass_matches_table_combing_exhaustive(self):
+        # the oracle folds nf_mul, combing by the S3 transfer tables, over
+        # the one-letter normal forms
+        for w in _all_words(7):
+            assert B.normal_form(w) == O.normal_form(w), w
+
+    def test_long_word_in_linear_time(self):
+        # a quadratic left weighting takes tens of seconds on this word; the
+        # Burau image with the exponent sum is a complete invariant that
+        # does not go through the normal form
+        word = (2, 1) * 6000 + (1, 2) * 6000
+        start = time.perf_counter()
+        nf = B.normal_form(word)
+        assert time.perf_counter() - start < 1.0
+        spelled = nf.to_word()
+        assert B.exponent_sum(spelled) == B.exponent_sum(word)
+        assert cover.burau_matrix(spelled) == cover.burau_matrix(word)
 
 
 class TestCyclingDecycling:

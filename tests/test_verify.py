@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from gofknots import verify
+from gofknots import classify, cli, verify
 
 
 class TestSuitesPassAtReducedBounds:
@@ -29,6 +31,24 @@ class TestViolationRecords:
             "expected": 1,
             "actual": 0,
         }
+
+    def test_caught_family_hit_prints_as_json(self, monkeypatch, capsys):
+        # a fault the counts oracle catches carries a FamilyParams as actual
+        real = classify.family_hits
+
+        def hit_at_six(alpha, orbit):
+            hits = real(alpha, orbit)
+            return hits or ([classify.FamilyParams(classify.FAMILY_ONE, 1, 1)] if alpha == 6 else [])
+
+        monkeypatch.setattr(classify, "family_hits", hit_at_six)
+        assert cli.run(["verify", "--suite", "counts", "--max", "10"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == [{
+            "suite": "counts",
+            "params": {"alpha": 6, "beta": 1},
+            "expected": "no family hit on the torus locus",
+            "actual": {"family": classify.FAMILY_ONE, "p": 1, "q": 1},
+        }]
 
     def test_default_bounds(self):
         bounds = verify.VerifyBounds()
