@@ -47,69 +47,114 @@ class Violation:
         }
 
 
-def verify_counts(max_alpha: int = 5000) -> list[Violation]:
-    """Census of axis counts for every canonical fraction with alpha <= bound.
+def _phi(n: int) -> int:
+    """Euler's totient of n >= 1, from a trial-division factorisation."""
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            phi -= phi // p
+        p += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
 
-    Checks that counts stay in {0,1,2,3}, that three axes happen only at
-    (4,1), that two axes happen exactly on the beta = +-1 torus locus with
-    alpha not in {0,4}, that the family scan never collides with that locus
-    except at alpha = 4, and that whole orbits canonicalise consistently.
+
+def _family_fractions(max_alpha: int) -> set[tuple[int, int]]:
+    """Murasugi's braid-index-3 families with alpha <= max_alpha, generated forward.
+
+    For p, q >= 1, alpha = 2pq + p + q (+1) = p(2q + 1) + q (+1) with
+    beta* = 2q + 1 < alpha, and (2p + 1)(2q + 1) = 2*alpha +- 1 makes beta* a
+    unit.  Each solution is stored at its orbit minimum, the least of
+    +-beta*^{+-1} mod alpha.
     """
-    violations = []
-    triple_sites = []
+    fractions = set()
+    for shift in (0, 1):
+        for q in range(1, max_alpha // 3 + 1):
+            b = 2 * q + 1
+            # p = 1, 2, ...: each step of p adds b to alpha
+            for alpha in range(3 * q + 1 + shift, max_alpha + 1, b):
+                inv = pow(b, -1, alpha)
+                fractions.add((alpha, min(b, inv, alpha - b, alpha - inv)))
+    return fractions
 
-    def check(alpha: int, beta: int, members) -> None:
-        report = classify.axis_classes(alpha, beta)
-        count = report.count
+
+def verify_counts(max_alpha: int = 5000) -> list[Violation]:
+    """Check every row of classify.census(max_alpha) against a separate oracle.
+
+    The oracle is the forward family set (_family_fractions) with the
+    torus rule.  Each row must have count <= 3, count 3 exactly at (4,1),
+    count 2 exactly on the torus locus (beta = 1 or alpha = 1, alpha not in
+    {0, 4}), and, off that locus with alpha >= 2, count 1 exactly when the
+    fraction is a family fraction; no torus fraction but (4,1) may be one.
+
+    The rows must also be every canonical fraction, each once.  They come
+    in increasing (alpha, beta) order, each beta is the least member of its
+    orbit +-beta^{+-1} mod alpha, and the orbit sizes of one alpha sum to
+    phi(alpha): the orbits are classes, so distinct least members make them
+    disjoint, and together they cover the units.  twobridge.canonical of
+    each row's largest member must give the row back.  Each alpha is closed
+    when the census moves past it, so no rows or orbits are held.
+    """
+    violations: list[Violation] = []
+    family = _family_fractions(max_alpha)
+    # the alpha being read, its last beta and the size of its orbits so far
+    open_alpha = last_beta = covered = 0
+
+    def fail(where: dict, expected: object, actual: object) -> None:
+        violations.append(Violation("counts", where, expected, actual))
+
+    def close() -> None:
+        nonlocal open_alpha, last_beta, covered
+        want = _phi(open_alpha) if open_alpha else 1  # (0, 1) alone at alpha 0
+        if covered != want:
+            fail({"alpha": open_alpha}, f"row orbits cover all {want} units", covered)
+        open_alpha, last_beta, covered = open_alpha + 1, 0, 0
+
+    for row in classify.census(max_alpha):
+        alpha, beta = row.fraction.alpha, row.fraction.beta
         where = {"alpha": alpha, "beta": beta}
-        if count > 3:
-            violations.append(Violation("counts", where, "count <= 3", count))
-        if count == 3:
-            triple_sites.append((alpha, beta))
-        expect_two = (beta == 1 or alpha == 1) and alpha not in (0, 4)
-        if expect_two != (count == 2):
-            violations.append(
-                Violation("counts", where, f"count == 2 iff torus locus ({expect_two})", count)
-            )
-        if alpha >= 2 and beta == 1:
-            hits = classify.family_hits(alpha, twobridge.orbit(alpha, beta))
-            if hits and alpha != 4:
-                violations.append(
-                    Violation("counts", where, "no family hit on the torus locus", hits[0])
-                )
-        if alpha >= 2 and beta != 1 and (count == 1) != (report.family is not None):
-            violations.append(
-                Violation("counts", where, "count == 1 iff a family hit exists", count)
-            )
-        for member in members:
-            got = twobridge.canonical(alpha, member)
-            if got.pair != (alpha, beta):
-                violations.append(
-                    Violation(
-                        "counts",
-                        {"alpha": alpha, "beta": beta, "member": member},
-                        (alpha, beta),
-                        got.pair,
-                    )
-                )
+        if not (open_alpha, last_beta) < (alpha, beta) or alpha > max_alpha:
+            fail(where, f"rows in (alpha, beta) order with alpha <= {max_alpha}", (open_alpha, last_beta))
+            continue
+        while open_alpha < alpha:
+            close()
+        last_beta = beta
 
-    if max_alpha >= 0:
-        check(0, 1, (1,))
-    if max_alpha >= 1:
-        check(1, 1, (1,))
-    for alpha in range(2, max_alpha + 1):
-        for beta in range(1, alpha // 2 + 1):
-            if gcd(beta, alpha) != 1:
-                continue
-            inv = pow(beta, -1, alpha)
-            members = (beta, inv, alpha - beta, alpha - inv)
-            if min(members) < beta:
-                continue  # not the canonical orbit representative
-            check(alpha, beta, members)
-    if max_alpha >= 4 and triple_sites != [(4, 1)]:
-        violations.append(
-            Violation("counts", {"max_alpha": max_alpha}, "triple count exactly at (4,1)", triple_sites)
-        )
+        count = row.count
+        if count > 3:
+            fail(where, "count <= 3", count)
+        if (count == 3) != (alpha == 4 and beta == 1):
+            fail(where, "count == 3 exactly at (4,1)", count)
+        torus = (beta == 1 or alpha == 1) and alpha not in (0, 4)
+        if torus != (count == 2):
+            fail(where, f"count == 2 iff torus locus ({torus})", count)
+        if alpha >= 2:
+            listed = (alpha, beta) in family
+            if beta == 1 and listed and alpha != 4:
+                fail(where, "no family fraction on the torus locus", (alpha, beta))
+            if beta != 1 and listed != (count == 1):
+                fail(where, f"count == 1 iff a family fraction ({listed})", row.family)
+
+        if alpha < 2:
+            orbit = {1}
+        elif gcd(alpha, beta) != 1:
+            fail(where, "gcd(alpha, beta) == 1", gcd(alpha, beta))
+            continue
+        else:
+            b = beta % alpha
+            inv = pow(b, -1, alpha)
+            orbit = {b, inv, alpha - b, alpha - inv}
+        if min(orbit) != beta:
+            fail(where, "beta is the least member of its orbit", min(orbit))
+        covered += len(orbit)
+        top = max(orbit)
+        got = twobridge.canonical(alpha, top)
+        if got.pair != (alpha, beta):
+            fail({**where, "member": top}, (alpha, beta), got.pair)
+    while open_alpha <= max_alpha:
+        close()
     return violations
 
 

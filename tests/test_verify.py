@@ -1,8 +1,9 @@
 import json
+from math import gcd
 
 import pytest
 
-from gofknots import classify, cli, verify
+from gofknots import classify, cli, twobridge, verify
 
 
 class TestSuitesPassAtReducedBounds:
@@ -33,21 +34,24 @@ class TestViolationRecords:
         }
 
     def test_caught_family_hit_prints_as_json(self, monkeypatch, capsys):
-        # a fault the counts oracle catches carries a FamilyParams as actual
-        real = classify.family_hits
+        # a fault the counts oracle catches carries a FamilyParams as actual:
+        # 3 divides 2*11 - 1 but lies in the orbit of (11,3), not of (11,2)
+        real = classify._family_members
 
-        def hit_at_six(alpha, orbit):
-            hits = real(alpha, orbit)
-            return hits or ([classify.FamilyParams(classify.FAMILY_ONE, 1, 1)] if alpha == 6 else [])
+        def extra_member(alpha):
+            members = real(alpha)
+            if alpha == 11:
+                members.setdefault(2, set()).add(3)
+            return members
 
-        monkeypatch.setattr(classify, "family_hits", hit_at_six)
-        assert cli.run(["verify", "--suite", "counts", "--max", "10"]) == 1
+        monkeypatch.setattr(classify, "_family_members", extra_member)
+        assert cli.run(["verify", "--suite", "counts", "--max", "12"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc == [{
             "suite": "counts",
-            "params": {"alpha": 6, "beta": 1},
-            "expected": "no family hit on the torus locus",
-            "actual": {"family": classify.FAMILY_ONE, "p": 1, "q": 1},
+            "params": {"alpha": 11, "beta": 2},
+            "expected": "count == 1 iff a family fraction (False)",
+            "actual": {"family": classify.FAMILY_TWO, "p": 3, "q": 1},
         }]
 
     def test_default_bounds(self):
@@ -127,3 +131,83 @@ class TestDeterminism:
         a = verify.verify_burau_witnesses(5, twist_trials=10)
         b = verify.verify_burau_witnesses(5, twist_trials=10)
         assert a == b
+
+
+class TestCountsOracle:
+    def test_small_bounds_pass(self):
+        # the last alpha is closed after the census ends; (4,1) is the triple
+        for n in range(-1, 13):
+            assert verify.verify_counts(n) == [], n
+
+    def test_family_set_equals_orbit_scan(self, monkeypatch):
+        # the oracle is built without the library's family code
+        with monkeypatch.context() as m:
+            for module, name in ((classify, "family_hits"), (classify, "_family_members"),
+                                 (classify, "family_membership"), (twobridge, "orbit")):
+                m.setattr(module, name, None)
+            forward = verify._family_fractions(300)
+        scanned = {
+            f.pair
+            for alpha in range(2, 301)
+            for f in classify.canonical_fractions(alpha)
+            if any(d % 2 == 1 and classify.family_membership(alpha, d)
+                   for d in twobridge.orbit(alpha, f.beta))
+        }
+        assert forward == scanned
+
+    def test_phi_counts_coprime_residues(self):
+        for n in range(1, 501):
+            assert verify._phi(n) == sum(1 for r in range(n) if gcd(r, n) == 1), n
+
+
+class TestCountsMutations:
+    """Library faults that verify_counts must report."""
+
+    def test_cofactor_bound(self, monkeypatch):
+        # 2p + 1 > 3 in place of >= 3 loses the hit (two, 1, 1) of (5,2).
+        # A bound d in place of 3d changes nothing: a member d < alpha
+        # dividing 2*alpha +- 1 already has a cofactor >= 3.
+        real = classify.family_hits
+        monkeypatch.setattr(
+            classify, "family_hits", lambda alpha, orbit: [fp for fp in real(alpha, orbit) if fp.p > 1]
+        )
+        assert verify.verify_counts(200) != []
+
+    def test_dropped_family(self, monkeypatch):
+        real = classify.family_hits
+        monkeypatch.setattr(
+            classify,
+            "family_hits",
+            lambda alpha, orbit: [fp for fp in real(alpha, orbit) if fp.family != classify.FAMILY_TWO],
+        )
+        assert verify.verify_counts(200) != []
+
+    @pytest.mark.parametrize("fault", ["no third axis at (4,1)", "torus report at (7,2)"])
+    def test_torus_rule(self, monkeypatch, fault):
+        real = classify._report
+
+        def report(f, members):
+            if fault.startswith("no third") and f.pair == (4, 1):
+                return classify.AxisReport(f, real(f, members).witnesses[:2])
+            if fault.startswith("torus") and f.pair == (7, 2):
+                return classify.AxisReport(f, real(twobridge.Fraction(7, 1), None).witnesses)
+            return real(f, members)
+
+        monkeypatch.setattr(classify, "_report", report)
+        assert verify.verify_counts(200) != []
+
+    @pytest.mark.parametrize("fault", ["non-minimal", "duplicate", "missing"])
+    def test_canonical_fractions(self, monkeypatch, fault):
+        real = classify.canonical_fractions
+
+        def fractions(alpha):
+            for f in real(alpha):
+                if f.pair != (7, 2):
+                    yield f
+                elif fault == "non-minimal":
+                    yield twobridge.Fraction(7, 3)
+                elif fault == "duplicate":
+                    yield from (f, f)
+
+        monkeypatch.setattr(classify, "canonical_fractions", fractions)
+        assert verify.verify_counts(200) != []
