@@ -170,7 +170,10 @@ def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
     family two is 2*alpha - 1 = (2p + 1)(2q + 1).  So an odd member
     d = 2q + 1 >= 3 is a hit exactly when it divides 2*alpha + 1, or else
     2*alpha - 1, with a cofactor 2p + 1 >= 3: the equations that
-    family_membership solves, read off one division each.
+    family_membership solves, read off one division each.  The cofactor
+    needs no check: for an orbit member d < alpha it is odd and at least
+    (2*alpha - 1) / d > 1, so at least 3.  Numbers d >= alpha are no orbit
+    members and are skipped (d = 2*alpha +- 1 would give p = 0).
     All hits describe the same axis class, so the order only picks the
     printed witness: solutions with odd q come first (for odd alpha the two
     mates (p,q) and (q,p) split one odd, one even), then by orbit member.
@@ -178,11 +181,11 @@ def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
     one, two = 2 * alpha + 1, 2 * alpha - 1
     hits = []
     for d in sorted(orbit):
-        if d < 3 or d % 2 == 0:
+        if d % 2 == 0 or not 3 <= d < alpha:
             continue
-        if one % d == 0 and one >= 3 * d:
+        if one % d == 0:
             hits.append(FamilyParams(FAMILY_ONE, (one // d - 1) // 2, (d - 1) // 2))
-        elif two % d == 0 and two >= 3 * d:
+        elif two % d == 0:
             hits.append(FamilyParams(FAMILY_TWO, (two // d - 1) // 2, (d - 1) // 2))
     hits.sort(key=lambda fp: (fp.q % 2 == 0, fp.beta_star))
     return hits
@@ -246,14 +249,17 @@ def canonical_fractions(alpha: int) -> Iterator[Fraction]:
     if alpha == 1:
         yield Fraction(1, 1)
         return
-    # beta <= alpha // 2 is already at most alpha - beta, so beta is the
-    # orbit minimum exactly when it is at most both +-beta^-1 mod alpha
+    # The orbit of a unit beta <= alpha // 2 meets 1..alpha // 2 in beta and
+    # its partner min(beta^-1, alpha - beta^-1), and the partner map is an
+    # involution there.  Scanning upwards, the smaller of the two is reached
+    # first and marks the larger, so every unmarked unit is an orbit minimum.
+    partner = bytearray(alpha // 2 + 1)
     for beta in range(1, alpha // 2 + 1):
-        if gcd(beta, alpha) != 1:
+        if partner[beta] or gcd(beta, alpha) != 1:
             continue
         inv = pow(beta, -1, alpha)
-        if beta <= inv and beta <= alpha - inv:
-            yield twobridge._trusted(alpha, beta)
+        partner[min(inv, alpha - inv)] = 1
+        yield twobridge._trusted(alpha, beta)
 
 
 def _family_members(alpha: int) -> dict[int, set[int]]:
@@ -281,11 +287,19 @@ def census(max_alpha: int) -> Iterator[AxisReport]:
     Each fraction gets the members of its orbit that divide 2*alpha +- 1,
     listed once per alpha, in place of its whole orbit: no other member can
     be a family hit, so every report equals axis_classes(alpha, beta).
+    Only (alpha, 1) and the fractions keyed by a family member, the
+    candidates identify_closure walks too, go through _report.  By the
+    decision tree no other fraction has a 3-braid, nor a note (the (17,5)
+    note sits on the member key 5), so its report is AxisReport(f, ()).
     """
     for alpha in range(0, max_alpha + 1):
         members = _family_members(alpha)
         for f in canonical_fractions(alpha):
-            yield _report(f, members.get(f.beta))
+            beta = f.beta
+            if beta == 1 or beta in members:
+                yield _report(f, members.get(beta))
+            else:
+                yield AxisReport(f, ())
 
 
 def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Syllables]:

@@ -119,11 +119,15 @@ def _cmd_enumerate(args) -> None:
             sep = ", "
         out.write("]\n")
     else:
+        write = out.write
         for report in classify.census(args.max):
             f = report.fraction
             ws = report.witnesses
+            if not ws:  # nearly every row
+                write(f"{f.alpha}\t{f.beta}\t0\t\n")
+                continue
             words = ";".join([braid.format_syllables(w.syllables) for w in ws])
-            out.write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
+            write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
 
 
 def _cmd_verify(args) -> int:

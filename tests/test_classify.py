@@ -327,6 +327,43 @@ class TestCanonicalFractions:
             covered |= orb
         assert covered == {b for b in range(1, alpha) if math.gcd(alpha, b) == 1}
 
+    @staticmethod
+    def _orbit_minima(alpha):
+        # brute force: the least of beta, alpha - beta, +-beta^-1 mod alpha
+        # over every unit beta, with gcd and pow only
+        minima = set()
+        for beta in range(1, alpha):
+            if math.gcd(beta, alpha) == 1:
+                inv = pow(beta, -1, alpha)
+                minima.add(min(beta, alpha - beta, inv, alpha - inv))
+        return sorted(minima)
+
+    def test_every_alpha_below_1500_against_brute_force(self):
+        for alpha in range(2, 1500):
+            got = [f.beta for f in classify.canonical_fractions(alpha)]
+            assert got == self._orbit_minima(alpha), alpha
+
+    @pytest.mark.parametrize(
+        "alpha, betas",
+        [
+            (2, [1]),
+            (3, [1]),
+            (4, [1]),
+            (6, [1]),
+            (10, [1, 3]),  # 2p, p = alpha / 2: the last slot, beta = p, is no unit
+            (14, [1, 3]),  # 2p with p = 7 = alpha / 2
+            (25, [1, 2, 3, 4, 7, 9]),  # p^2
+            (49, [1, 2, 3, 4, 5, 6, 9, 13, 17, 18, 20]),  # p^2
+            # beta^2 = +-1 mod alpha: beta is its own partner, marks only itself
+            (8, [1, 3]),  # 3^2 = 1
+            (13, [1, 2, 3, 5]),  # 5^2 = -1
+            (24, [1, 5, 7, 11]),  # every unit squares to 1
+        ],
+    )
+    def test_edge_shapes(self, alpha, betas):
+        assert [f.beta for f in classify.canonical_fractions(alpha)] == betas
+        assert betas == self._orbit_minima(alpha)
+
 
 class TestCensus:
     def test_equals_axis_classes_row_by_row(self):
@@ -342,6 +379,30 @@ class TestCensus:
         for g, e in zip(got, expected):
             assert g == e, e.fraction.pair
         assert sum(1 for r in got if r.family is not None and r.count == 1) > 1000
+
+    def test_only_axis_fractions_reach_the_decision_tree(self, monkeypatch):
+        real = classify._report
+        routed = []
+
+        def report(f, members):
+            routed.append(f.pair)
+            return real(f, members)
+
+        monkeypatch.setattr(classify, "_report", report)
+        rows = list(classify.census(300))
+        assert len(routed) == 902
+        for alpha, beta in routed:
+            assert beta == 1 or beta in classify._family_members(alpha), (alpha, beta)
+        routed = set(routed)
+        monkeypatch.setattr(classify, "_report", real)
+        skipped = 0
+        for row in rows:
+            if row.fraction.pair in routed:
+                continue
+            skipped += 1
+            assert row == classify.axis_classes(*row.fraction.pair), row.fraction.pair
+            assert row.count == 0 and row.notes == (), row.fraction.pair
+        assert skipped == 6289
 
     def test_negative_bound_is_empty(self):
         assert list(classify.census(-1)) == []
