@@ -23,6 +23,12 @@ No fraction ever yields more than three axes.  Witnesses are held as
 syllables, ((1, alpha), (2, 1)) for sigma_1^alpha sigma_2, so a report costs
 the same at every alpha; Witness.word spells the letters out on each access.
 
+The census lists every canonical fraction up to a bound one alpha at a time
+(census_by_alpha).  The canonical betas of alpha come from a sieve over
+1..alpha // 2, and only (alpha, 1) and the fractions of the family members,
+the odd divisors of 2*alpha +- 1, get a report built: by the tree above
+every other fraction has count 0.
+
 The closure of a word is identified by its determinant alpha = |det(M - I)|:
 its conjugacy invariant and its mirror's (exponent sum and SL2(Z) class of
 the Burau image) are compared with the witnesses and flype partners of
@@ -35,7 +41,7 @@ a 3-braid.  The invariants of the candidates come from their syllables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Iterator, Optional
 
 from . import braid, cover, twobridge
@@ -249,17 +255,40 @@ def canonical_fractions(alpha: int) -> Iterator[Fraction]:
     if alpha == 1:
         yield Fraction(1, 1)
         return
-    # The orbit of a unit beta <= alpha // 2 meets 1..alpha // 2 in beta and
-    # its partner min(beta^-1, alpha - beta^-1), and the partner map is an
-    # involution there.  Scanning upwards, the smaller of the two is reached
-    # first and marks the larger, so every unmarked unit is an orbit minimum.
-    partner = bytearray(alpha // 2 + 1)
-    for beta in range(1, alpha // 2 + 1):
-        if partner[beta] or gcd(beta, alpha) != 1:
-            continue
-        inv = pow(beta, -1, alpha)
-        partner[min(inv, alpha - inv)] = 1
+    for beta in _canonical_betas(alpha):
         yield twobridge._trusted(alpha, beta)
+
+
+def _canonical_betas(alpha: int) -> Iterator[int]:
+    """The canonical betas of alpha >= 2, in increasing order, as plain ints.
+
+    First every slot of 1..alpha // 2 that is a multiple of a prime factor
+    of alpha (found by trial division) is marked, so the unmarked slots are
+    the units and no gcd is taken.  The orbit of a unit meets 1..alpha // 2
+    in beta and its partner min(beta^-1, alpha - beta^-1), and the partner
+    map is an involution there.  Scanning upwards, the smaller of the two is
+    reached first and marks the larger, so every unmarked slot the scan
+    reaches is an orbit minimum.
+    """
+    half = alpha // 2
+    marks = bytearray(half + 1)
+    marks[0] = 1
+    n, p = alpha, 2
+    while p * p <= n:
+        if n % p == 0:
+            marks[p::p] = b"\x01" * (half // p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:  # the prime factor above sqrt(alpha), if any: alpha // 2 at alpha = 2n
+        marks[n::n] = b"\x01" * (half // n)
+    find = marks.find
+    beta = find(0)
+    while beta != -1:
+        inv = pow(beta, -1, alpha)
+        marks[min(inv, alpha - inv)] = 1
+        yield beta
+        beta = find(0, beta + 1)
 
 
 def _family_members(alpha: int) -> dict[int, set[int]]:
@@ -281,25 +310,41 @@ def _family_members(alpha: int) -> dict[int, set[int]]:
     return by_beta
 
 
-def census(max_alpha: int) -> Iterator[AxisReport]:
-    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order.
+def census_by_alpha(max_alpha: int) -> Iterator[tuple[int, Iterable[int], dict[int, AxisReport]]]:
+    """(alpha, betas, reports) for every alpha <= max_alpha, in increasing alpha.
 
-    Each fraction gets the members of its orbit that divide 2*alpha +- 1,
-    listed once per alpha, in place of its whole orbit: no other member can
-    be a family hit, so every report equals axis_classes(alpha, beta).
-    Only (alpha, 1) and the fractions keyed by a family member, the
-    candidates identify_closure walks too, go through _report.  By the
-    decision tree no other fraction has a 3-braid, nor a note (the (17,5)
-    note sits on the member key 5), so its report is AxisReport(f, ()).
+    betas runs over the canonical betas of alpha in increasing order, as a
+    generator for alpha >= 2.  reports maps only the betas that can have a
+    3-braid to their report: 1 and the canonical betas of the family
+    members, the divisors of 2*alpha +- 1, the candidates identify_closure
+    walks too.  Each gets the members of its orbit in place of the whole
+    orbit: no other member can be a family hit, so every report equals
+    axis_classes(alpha, beta).  By the decision tree every other beta has
+    count 0 and no note (the (17,5) note sits on the member key 5), so its
+    report would be AxisReport(Fraction(alpha, beta), ()).
     """
     for alpha in range(0, max_alpha + 1):
         members = _family_members(alpha)
-        for f in canonical_fractions(alpha):
-            beta = f.beta
-            if beta == 1 or beta in members:
-                yield _report(f, members.get(beta))
-            else:
-                yield AxisReport(f, ())
+        # 1 is itself a member key at alpha 4, the (1,2,1) axis of b(4,1)
+        reports = {
+            beta: _report(twobridge._trusted(alpha, beta), members.get(beta))
+            for beta in members.keys() | {1}
+        }
+        yield alpha, (_canonical_betas(alpha) if alpha >= 2 else (1,)), reports
+
+
+def census(max_alpha: int) -> Iterator[AxisReport]:
+    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order.
+
+    The rows of census_by_alpha, one alpha after another; a beta with no
+    report there gets AxisReport(f, ()).  Every row equals
+    axis_classes(alpha, beta).
+    """
+    trusted = twobridge._trusted
+    for alpha, betas, reports in census_by_alpha(max_alpha):
+        for beta in betas:
+            report = reports.get(beta)
+            yield AxisReport(trusted(alpha, beta), ()) if report is None else report
 
 
 def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Syllables]:

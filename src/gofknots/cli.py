@@ -101,33 +101,39 @@ def _cmd_conway(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
-    # rows are written as they are classified; the JSON separators are the
-    # ones json.dumps puts between list items, so the array reads the same
+    # one string per alpha, written once that alpha is classified: the betas
+    # with a report are formatted from it, every other row has count 0.  The
+    # JSON separators are the ones json.dumps puts between list items, so
+    # the array reads the same
     out = sys.stdout
+    census = classify.census_by_alpha(args.max)
     if args.format == "json":
         out.write("[")
         sep = ""
-        for report in classify.census(args.max):
-            f = report.fraction
-            row = {
-                "alpha": f.alpha,
-                "beta": f.beta,
-                "count": report.count,
-                "witnesses": [list(w.word) for w in report.witnesses],
+        for alpha, betas, reports in census:
+            rows = {
+                b: json.dumps({
+                    "alpha": alpha,
+                    "beta": b,
+                    "count": r.count,
+                    "witnesses": [list(w.word) for w in r.witnesses],
+                })
+                for b, r in reports.items()
             }
-            out.write(sep + json.dumps(row))
+            out.write(sep + ", ".join([
+                rows[b] if b in rows else f'{{"alpha": {alpha}, "beta": {b}, "count": 0, "witnesses": []}}'
+                for b in betas
+            ]))
             sep = ", "
         out.write("]\n")
     else:
-        write = out.write
-        for report in classify.census(args.max):
-            f = report.fraction
-            ws = report.witnesses
-            if not ws:  # nearly every row
-                write(f"{f.alpha}\t{f.beta}\t0\t\n")
-                continue
-            words = ";".join([braid.format_syllables(w.syllables) for w in ws])
-            write(f"{f.alpha}\t{f.beta}\t{len(ws)}\t{words}\n")
+        for alpha, betas, reports in census:
+            rows = {
+                b: f"{alpha}\t{b}\t{r.count}\t"
+                + ";".join([braid.format_syllables(w.syllables) for w in r.witnesses]) + "\n"
+                for b, r in reports.items()
+            }
+            out.write("".join([rows[b] if b in rows else f"{alpha}\t{b}\t0\t\n" for b in betas]))
 
 
 def _cmd_verify(args) -> int:

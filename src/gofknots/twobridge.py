@@ -63,12 +63,12 @@ def _check(alpha: int, beta: int) -> None:
 def _trusted(alpha: int, beta: int) -> Fraction:
     """A Fraction whose gcd the caller has already checked; skips __post_init__.
 
-    Sets the fields as the generated frozen __init__ does, so the result
-    compares, hashes and orders like Fraction(alpha, beta).
+    Fills the instance dict that the generated frozen __init__ fills field by
+    field, in one update, so the result compares, hashes and orders like
+    Fraction(alpha, beta) and still refuses assignment.
     """
     f = object.__new__(Fraction)
-    object.__setattr__(f, "alpha", alpha)
-    object.__setattr__(f, "beta", beta)
+    f.__dict__.update(alpha=alpha, beta=beta)
     return f
 
 

@@ -137,19 +137,23 @@ def verify_counts(max_alpha: int = 5000) -> list[Violation]:
             if beta != 1 and listed != (count == 1):
                 fail(where, f"count == 1 iff a family fraction ({listed})", row.family)
 
+        # the orbit {b, inv, alpha - b, alpha - inv} is closed under
+        # negation, so its largest member is alpha minus its least; it has
+        # one member at alpha <= 2, two when inv = +-b, else four
         if alpha < 2:
-            orbit = {1}
+            least = top = size = 1
         elif gcd(alpha, beta) != 1:
             fail(where, "gcd(alpha, beta) == 1", gcd(alpha, beta))
             continue
         else:
             b = beta % alpha
             inv = pow(b, -1, alpha)
-            orbit = {b, inv, alpha - b, alpha - inv}
-        if min(orbit) != beta:
-            fail(where, "beta is the least member of its orbit", min(orbit))
-        covered += len(orbit)
-        top = max(orbit)
+            least = min(b, inv, alpha - b, alpha - inv)
+            top = alpha - least
+            size = 1 if alpha == 2 else 2 if inv == b or inv == alpha - b else 4
+        if least != beta:
+            fail(where, "beta is the least member of its orbit", least)
+        covered += size
         got = twobridge.canonical(alpha, top)
         if got.pair != (alpha, beta):
             fail({**where, "member": top}, (alpha, beta), got.pair)

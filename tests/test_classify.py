@@ -364,6 +364,23 @@ class TestCanonicalFractions:
         assert [f.beta for f in classify.canonical_fractions(alpha)] == betas
         assert betas == self._orbit_minima(alpha)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            2, 4, 8, 1024,  # powers of 2: one prime marks every even slot
+            22, 998, 19946,  # 2p: the factor p is the last slot, alpha // 2
+            7, 997, 7919,  # primes: no factor at or below alpha // 2
+            30, 210, 2310,  # 3, 4 and 5 distinct primes
+        ],
+    )
+    def test_sieve_edges(self, alpha):
+        assert [f.beta for f in classify.canonical_fractions(alpha)] == self._orbit_minima(alpha)
+
+    @given(st.integers(min_value=2, max_value=20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_sieve_against_brute_force(self, alpha):
+        assert [f.beta for f in classify.canonical_fractions(alpha)] == self._orbit_minima(alpha)
+
 
 class TestCensus:
     def test_equals_axis_classes_row_by_row(self):
@@ -404,8 +421,23 @@ class TestCensus:
             assert row.count == 0 and row.notes == (), row.fraction.pair
         assert skipped == 6289
 
+    def test_is_the_flattening_of_census_by_alpha(self):
+        flat, alphas = [], []
+        for alpha, betas, reports in classify.census_by_alpha(700):
+            alphas.append(alpha)
+            betas = list(betas)
+            assert betas == [f.beta for f in classify.canonical_fractions(alpha)], alpha
+            assert 1 in reports and reports.keys() <= set(betas), alpha
+            flat += [
+                reports[b] if b in reports else classify.AxisReport(twobridge.Fraction(alpha, b), ())
+                for b in betas
+            ]
+        assert alphas == list(range(701))
+        assert list(classify.census(700)) == flat
+
     def test_negative_bound_is_empty(self):
         assert list(classify.census(-1)) == []
+        assert list(classify.census_by_alpha(-1)) == []
 
     def test_first_rows(self):
         first, second = list(classify.census(1))

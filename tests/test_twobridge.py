@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -169,6 +170,22 @@ class TestValidation:
         f = tb.canonical(19, 16)
         with pytest.raises(AttributeError):
             f.beta = 5
+
+    @given(coprime_pairs(500), coprime_pairs(500))
+    def test_trusted_behaves_as_a_fraction(self, first, second):
+        f, g = tb._trusted(*first), tb._trusted(*second)
+        checked_f, checked_g = tb.Fraction(*first), tb.Fraction(*second)
+        assert type(f) is tb.Fraction and vars(f) == vars(checked_f)
+        assert f == checked_f and hash(f) == hash(checked_f)
+        assert (f < g, f <= g, f == g) == (checked_f < checked_g, checked_f <= checked_g, checked_f == checked_g)
+        assert (f < checked_g, checked_f < g) == (checked_f < checked_g,) * 2
+        assert f.pair == first and repr(f) == repr(checked_f)
+        for name in ("alpha", "beta"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(f, name)
+        assert f.pair == first
 
 
 class TestOrientationClasses:

@@ -143,7 +143,8 @@ class TestCountsOracle:
         # the oracle is built without the library's family code
         with monkeypatch.context() as m:
             for module, name in ((classify, "family_hits"), (classify, "_family_members"),
-                                 (classify, "family_membership"), (twobridge, "orbit")):
+                                 (classify, "family_membership"), (classify, "_canonical_betas"),
+                                 (twobridge, "orbit")):
                 m.setattr(module, name, None)
             forward = verify._family_fractions(300)
         scanned = {
@@ -198,16 +199,18 @@ class TestCountsMutations:
 
     @pytest.mark.parametrize("fault", ["non-minimal", "duplicate", "missing"])
     def test_canonical_fractions(self, monkeypatch, fault):
-        real = classify.canonical_fractions
+        # the census reads the canonical fractions as the betas of
+        # _canonical_betas, so the faults go into that stream at (7,2)
+        real = classify._canonical_betas
 
-        def fractions(alpha):
-            for f in real(alpha):
-                if f.pair != (7, 2):
-                    yield f
+        def betas(alpha):
+            for beta in real(alpha):
+                if (alpha, beta) != (7, 2):
+                    yield beta
                 elif fault == "non-minimal":
-                    yield twobridge.Fraction(7, 3)
+                    yield 3
                 elif fault == "duplicate":
-                    yield from (f, f)
+                    yield from (beta, beta)
 
-        monkeypatch.setattr(classify, "canonical_fractions", fractions)
+        monkeypatch.setattr(classify, "_canonical_betas", betas)
         assert verify.verify_counts(200) != []
