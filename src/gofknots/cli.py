@@ -289,6 +289,11 @@ def run(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
         return 0 if exc.code == 0 else 1
+    # argparse before Python 3.12 fills a positional with [] when the only
+    # token left for it is a second `--`; only the braid tokens are a list
+    if any(isinstance(value, list) for name, value in vars(args).items() if name != "tokens"):
+        print("error: `--` given in place of an argument", file=sys.stderr)
+        return 1
     try:
         return args.func(args) or 0  # a handler returns None on success
     except ValueError as exc:

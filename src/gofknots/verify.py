@@ -4,6 +4,12 @@ Each suite re-derives one of the structural facts behind the axis counts by
 brute force over a parameter range and returns a list of violations; an
 empty list is a pass.  Violations carry the offending parameters and both
 values so a failure can be re-checked by hand.
+
+The two census-scale suites, counts and orientation, take the braid-index-3
+families from one generator, _family_solutions, which runs forward over
+(p, q) and shares no code with classify's family search.  They read the
+library's rows as plain ints (census_by_alpha) or its orientation classes,
+and build no object of their own per row.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, is_dataclass
 from math import gcd
+from typing import Iterator
 
 from . import braid, classify, cover, twobridge
 
@@ -61,129 +68,154 @@ def _phi(n: int) -> int:
     return phi
 
 
-def _family_fractions(max_alpha: int) -> set[tuple[int, int]]:
-    """Murasugi's braid-index-3 families with alpha <= max_alpha, generated forward.
+def _family_solutions(max_alpha: int) -> Iterator[tuple[int, int]]:
+    """(alpha, beta*) for Murasugi's braid-index-3 families with alpha <= max_alpha.
 
-    For p, q >= 1, alpha = 2pq + p + q (+1) = p(2q + 1) + q (+1) with
-    beta* = 2q + 1 < alpha, and (2p + 1)(2q + 1) = 2*alpha +- 1 makes beta* a
-    unit.  Each solution is stored at its orbit minimum, the least of
-    +-beta*^{+-1} mod alpha.
+    Generated forward from (p, q): for p, q >= 1, alpha = 2pq + p + q (+1)
+    = p(2q + 1) + q (+1) with beta* = 2q + 1 < alpha.  These are exactly the
+    pairs where classify.family_membership(alpha, beta*) has a solution, found
+    here without it.
     """
-    fractions = set()
     for shift in (0, 1):
         for q in range(1, max_alpha // 3 + 1):
             b = 2 * q + 1
             # p = 1, 2, ...: each step of p adds b to alpha
             for alpha in range(3 * q + 1 + shift, max_alpha + 1, b):
-                inv = pow(b, -1, alpha)
-                fractions.add((alpha, min(b, inv, alpha - b, alpha - inv)))
+                yield alpha, b
+
+
+def _family_fractions(max_alpha: int) -> set[tuple[int, int]]:
+    """The family fractions with alpha <= max_alpha, as canonical (alpha, beta) pairs.
+
+    (2p + 1)(2q + 1) = 2*alpha +- 1 makes each beta* of _family_solutions a
+    unit, stored at its orbit minimum, the least of +-beta*^{+-1} mod alpha.
+    """
+    fractions = set()
+    for alpha, b in _family_solutions(max_alpha):
+        inv = pow(b, -1, alpha)
+        fractions.add((alpha, min(b, inv, alpha - b, alpha - inv)))
     return fractions
 
 
 def verify_counts(max_alpha: int = 5000) -> list[Violation]:
-    """Check every row of classify.census(max_alpha) against a separate oracle.
+    """Check classify.census_by_alpha(max_alpha) against a separate oracle.
 
-    The oracle is the forward family set (_family_fractions) with the
-    torus rule.  Each row must have count <= 3, count 3 exactly at (4,1),
+    The oracle is the forward family set (_family_fractions) with the torus
+    rule.  Every fraction must have count <= 3, count 3 exactly at (4,1),
     count 2 exactly on the torus locus (beta = 1 or alpha = 1, alpha not in
-    {0, 4}), and, off that locus with alpha >= 2, count 1 exactly when the
-    fraction is a family fraction; no torus fraction but (4,1) may be one.
+    {0, 4}), and, off that locus with alpha >= 2, count 1 exactly when it is
+    a family fraction; no torus fraction but (4,1) may be one.  A beta with
+    no report is a count-0 row, so the rules run on the reported betas and
+    on beta 1 of each alpha, and every family fraction left without a report
+    at the end is a violation; every other row has count 0 and is right
+    without a lookup.  Each report's fraction must be its key.
 
-    The rows must also be every canonical fraction, each once.  They come
-    in increasing (alpha, beta) order, each beta is the least member of its
-    orbit +-beta^{+-1} mod alpha, and the orbit sizes of one alpha sum to
-    phi(alpha): the orbits are classes, so distinct least members make them
-    disjoint, and together they cover the units.  twobridge.canonical of
-    each row's largest member must give the row back.  Each alpha is closed
-    when the census moves past it, so no rows or orbits are held.
+    The rows must also be every canonical fraction, each once.  The alphas
+    come once each from 0 to the bound, the betas of one alpha strictly
+    increasing, each beta the least member of its orbit +-beta^{+-1} mod
+    alpha, and the orbit sizes of one alpha sum to phi(alpha): the orbits
+    are classes, so distinct least members make them disjoint, and together
+    they cover the units.  twobridge.canonical of each row's largest member
+    must give the row back.  The betas are plain ints: no object is built
+    for a count-0 row, and no rows or orbits are held.
     """
     violations: list[Violation] = []
     family = _family_fractions(max_alpha)
-    # the alpha being read, its last beta and the size of its orbits so far
-    open_alpha = last_beta = covered = 0
+    canonical = twobridge.canonical
 
     def fail(where: dict, expected: object, actual: object) -> None:
         violations.append(Violation("counts", where, expected, actual))
 
-    def close() -> None:
-        nonlocal open_alpha, last_beta, covered
-        want = _phi(open_alpha) if open_alpha else 1  # (0, 1) alone at alpha 0
-        if covered != want:
-            fail({"alpha": open_alpha}, f"row orbits cover all {want} units", covered)
-        open_alpha, last_beta, covered = open_alpha + 1, 0, 0
-
-    for row in classify.census(max_alpha):
-        alpha, beta = row.fraction.alpha, row.fraction.beta
-        where = {"alpha": alpha, "beta": beta}
-        if not (open_alpha, last_beta) < (alpha, beta) or alpha > max_alpha:
-            fail(where, f"rows in (alpha, beta) order with alpha <= {max_alpha}", (open_alpha, last_beta))
-            continue
-        while open_alpha < alpha:
-            close()
-        last_beta = beta
-
-        count = row.count
-        if count > 3:
-            fail(where, "count <= 3", count)
-        if (count == 3) != (alpha == 4 and beta == 1):
-            fail(where, "count == 3 exactly at (4,1)", count)
-        torus = (beta == 1 or alpha == 1) and alpha not in (0, 4)
-        if torus != (count == 2):
-            fail(where, f"count == 2 iff torus locus ({torus})", count)
-        if alpha >= 2:
-            listed = (alpha, beta) in family
-            if beta == 1 and listed and alpha != 4:
-                fail(where, "no family fraction on the torus locus", (alpha, beta))
-            if beta != 1 and listed != (count == 1):
-                fail(where, f"count == 1 iff a family fraction ({listed})", row.family)
+    next_alpha = 0
+    for alpha, betas, reports in classify.census_by_alpha(max_alpha):
+        if alpha != next_alpha:
+            fail({"alpha": alpha}, f"alpha {next_alpha} next, each of 0..{max_alpha} once", alpha)
+        next_alpha = alpha + 1
 
         # the orbit {b, inv, alpha - b, alpha - inv} is closed under
         # negation, so its largest member is alpha minus its least; it has
         # one member at alpha <= 2, two when inv = +-b, else four
-        if alpha < 2:
-            least = top = size = 1
-        elif gcd(alpha, beta) != 1:
-            fail(where, "gcd(alpha, beta) == 1", gcd(alpha, beta))
-            continue
-        else:
-            b = beta % alpha
-            inv = pow(b, -1, alpha)
-            least = min(b, inv, alpha - b, alpha - inv)
-            top = alpha - least
-            size = 1 if alpha == 2 else 2 if inv == b or inv == alpha - b else 4
-        if least != beta:
-            fail(where, "beta is the least member of its orbit", least)
-        covered += size
-        got = twobridge.canonical(alpha, top)
-        if got.pair != (alpha, beta):
-            fail({**where, "member": top}, (alpha, beta), got.pair)
-    while open_alpha <= max_alpha:
-        close()
+        last = covered = 0
+        for beta in betas:
+            if beta <= last:
+                fail({"alpha": alpha, "beta": beta}, "betas strictly increasing", last)
+                continue
+            last = beta
+            if alpha < 2:  # the one fraction (alpha, 1), an orbit of one
+                if beta != 1:
+                    fail({"alpha": alpha, "beta": beta}, "beta is the least member of its orbit", 1)
+                size = top = 1
+            else:
+                try:
+                    inv = pow(beta, -1, alpha)
+                except ValueError:
+                    fail({"alpha": alpha, "beta": beta}, "gcd(alpha, beta) == 1", gcd(alpha, beta))
+                    continue
+                if not beta <= inv <= alpha - beta:
+                    least = min(beta, inv, alpha - beta, alpha - inv)
+                    fail({"alpha": alpha, "beta": beta}, "beta is the least member of its orbit", least)
+                size = 1 if alpha == 2 else 2 if inv == beta or inv == alpha - beta else 4
+                top = alpha - beta
+            covered += size
+            got = canonical(alpha, top).pair
+            if got != (alpha, beta):
+                fail({"alpha": alpha, "beta": beta, "member": top}, (alpha, beta), got)
+        want = _phi(alpha) if alpha else 1  # (0, 1) alone at alpha 0
+        if covered != want:
+            fail({"alpha": alpha}, f"row orbits cover all {want} units", covered)
+
+        for beta in sorted(reports.keys() | {1}):
+            where = {"alpha": alpha, "beta": beta}
+            report = reports.get(beta)
+            if report is None:
+                count, params = 0, None
+            else:
+                count, params = report.count, report.family
+                if report.fraction.pair != (alpha, beta):
+                    fail(where, "the report's fraction is its key", report.fraction.pair)
+            if count > 3:
+                fail(where, "count <= 3", count)
+            if (count == 3) != (alpha == 4 and beta == 1):
+                fail(where, "count == 3 exactly at (4,1)", count)
+            torus = (beta == 1 or alpha == 1) and alpha not in (0, 4)
+            if torus != (count == 2):
+                fail(where, f"count == 2 iff torus locus ({torus})", count)
+            if alpha >= 2:
+                listed = (alpha, beta) in family
+                family.discard((alpha, beta))
+                if beta == 1 and listed and alpha != 4:
+                    fail(where, "no family fraction on the torus locus", (alpha, beta))
+                if beta != 1 and listed != (count == 1):
+                    fail(where, f"count == 1 iff a family fraction ({listed})", params)
+    if next_alpha != max(max_alpha + 1, 0):
+        fail({"alpha": next_alpha}, f"alphas up to {max_alpha}", next_alpha - 1)
+    for alpha, beta in sorted(family):  # family fractions with no report: count 0
+        fail({"alpha": alpha, "beta": beta}, "count == 1 iff a family fraction (True)", None)
     return violations
-
-
-def _class_admits_3braid(alpha: int, cls: twobridge.OrientationClass) -> bool:
-    # reps are mirror-closed, so members below alpha cover the class
-    for r in sorted(cls.reps):
-        if r >= alpha:
-            continue
-        if r == 1 or classify.family_membership(alpha, r) is not None:
-            return True
-    return False
 
 
 def verify_orientation_uniqueness(max_alpha: int = 2000) -> list[Violation]:
     """At most one orientation of a two-component fraction is a closed 3-braid.
 
     Exhausts even alpha up to the bound; the single allowed exception is
-    (4,1).  Also confirms the two coincidences where both orientations fall
-    into one class: (8,3) and (10,3).
+    (4,1).  A class of twobridge.orientation_classes admits a 3-braid when
+    one of its representatives r below alpha is 1 or a family member: (alpha,
+    r) is a pair of _family_solutions.  The reps are mirror-closed, so those
+    below alpha cover the class.  Also confirms the two coincidences where
+    both orientations fall into one class: (8,3) and (10,3).
     """
     violations = []
+    # the reps r < alpha that admit, by even alpha: 1 and the family members;
+    # every member is below alpha, so a rep r >= alpha never meets them
+    admit: dict[int, list[int]] = {}
+    for alpha, b in _family_solutions(max_alpha):
+        if alpha % 2 == 0:
+            admit.setdefault(alpha, [1]).append(b)
     for alpha in range(2, max_alpha + 1, 2):
+        admits = admit.pop(alpha, (1,))
         for f in classify.canonical_fractions(alpha):
             classes = twobridge.orientation_classes(f)
-            admitting = sum(1 for c in classes if _class_admits_3braid(alpha, c))
+            admitting = sum(1 for c in classes if not c.reps.isdisjoint(admits))
             where = {"alpha": f.alpha, "beta": f.beta}
             if f.pair == (4, 1):
                 if admitting != 2:

@@ -272,7 +272,8 @@ class TestArgvGolden:
     # parser that dispatched `braid` by hand and inserted `--` before a
     # dash-leading Conway digit; one argparse tree must give the same.  The
     # two argv whose witnesses pass MAX_WORD_LETTERS are newer: that parser
-    # printed the 10^7-letter words and ran out of memory on the 10^15 ones
+    # printed the 10^7-letter words and ran out of memory on the 10^15 ones.
+    # The two argv with a second `--` are newer too
     CASES = [
         (("gof", "19", "3"), 0,
          "9138370245169e19701e5224014962c76ce10a8b50f0ffd81d603f7b7c13044f"),
@@ -415,6 +416,9 @@ class TestArgvGolden:
         (("braid", "twist", "1000000000", "1"), 1, EMPTY),
         (("braid", "twist", "0"), 0,
          "67755650abfcec18e5a060c0ae56746a3bc0b52524e485b6e4aa40020317f9ad"),
+        # a second `--` where an int belongs: argparse 3.11 hands over []
+        (("gof", "--", "0", "--"), 1, EMPTY),
+        (("equiv", "3", "1", "3", "--", "--"), 1, EMPTY),
     ]
 
     @pytest.mark.parametrize("argv, code, digest", CASES, ids=[" ".join(c[0]) or "(empty)" for c in CASES])

@@ -147,6 +147,7 @@ class TestCountsOracle:
                                  (twobridge, "orbit")):
                 m.setattr(module, name, None)
             forward = verify._family_fractions(300)
+            raw = set(verify._family_solutions(300))
         scanned = {
             f.pair
             for alpha in range(2, 301)
@@ -155,6 +156,20 @@ class TestCountsOracle:
                    for d in twobridge.orbit(alpha, f.beta))
         }
         assert forward == scanned
+        # the raw (alpha, beta*) pairs are the definition, solved one at a time
+        defined = {
+            (alpha, d)
+            for alpha in range(4, 301)
+            for d in range(3, alpha, 2)
+            if classify.family_membership(alpha, d) is not None
+        }
+        assert raw == defined
+
+    def test_reads_no_library_family_code_outside_the_census(self, monkeypatch):
+        # census_by_alpha itself needs _family_members, family_hits and the sieve
+        monkeypatch.setattr(classify, "family_membership", None)
+        monkeypatch.setattr(twobridge, "orbit", None)
+        assert verify.verify_counts(200) == []
 
     def test_phi_counts_coprime_residues(self):
         for n in range(1, 501):
@@ -214,3 +229,65 @@ class TestCountsMutations:
 
         monkeypatch.setattr(classify, "_canonical_betas", betas)
         assert verify.verify_counts(200) != []
+
+    def test_dropped_member_key(self, monkeypatch):
+        # (11,3) is the family fraction of 3 | 2*11 - 1; its report goes
+        real = classify._family_members
+
+        def members(alpha):
+            found = real(alpha)
+            if alpha == 11:
+                del found[3]
+            return found
+
+        monkeypatch.setattr(classify, "_family_members", members)
+        assert verify.verify_counts(200) != []
+
+    def test_report_fraction_differs_from_key(self, monkeypatch):
+        real = classify._report
+
+        def report(f, members):
+            if f.pair == (11, 3):
+                return classify.AxisReport(twobridge.Fraction(11, 4), real(f, members).witnesses)
+            return real(f, members)
+
+        monkeypatch.setattr(classify, "_report", report)
+        assert verify.verify_counts(200) != []
+
+    @pytest.mark.parametrize("fault", ["skipped alpha", "repeated alpha", "no report at (9,1)"])
+    def test_census_by_alpha_stream(self, monkeypatch, fault):
+        real = classify.census_by_alpha
+
+        def census_by_alpha(max_alpha):
+            for alpha, betas, reports in real(max_alpha):
+                if alpha == 9 and fault == "skipped alpha":
+                    continue
+                if alpha == 9 and fault == "no report at (9,1)":
+                    del reports[1]
+                yield alpha, betas, reports
+                if alpha == 9 and fault == "repeated alpha":
+                    *_, again = real(9)  # alpha 9 with betas not yet read
+                    yield again
+
+        monkeypatch.setattr(classify, "census_by_alpha", census_by_alpha)
+        assert verify.verify_counts(200) != []
+
+
+class TestOrientationMutations:
+    """Library faults that verify_orientation_uniqueness must report."""
+
+    @pytest.mark.parametrize("fault", ["first class only", "first class twice"])
+    def test_orientation_classes(self, monkeypatch, fault):
+        real = twobridge.orientation_classes
+
+        def classes(f):
+            first = real(f)[0]
+            return (first,) if fault == "first class only" else (first, first)
+
+        monkeypatch.setattr(twobridge, "orientation_classes", classes)
+        assert verify.verify_orientation_uniqueness(200) != []
+
+    def test_built_without_the_library_family_code(self, monkeypatch):
+        for name in ("family_membership", "family_hits", "_family_members"):
+            monkeypatch.setattr(classify, name, None)
+        assert verify.verify_orientation_uniqueness(200) == []
