@@ -19,23 +19,25 @@ representatives of b(alpha, beta).  The decision tree:
     sigma_1^p sigma_2^2 sigma_1^q sigma_2^-1 (family one) and
     sigma_1^p sigma_2^2 sigma_1^-(q+1) sigma_2^-1 (family two).
 
-No fraction ever yields more than three axes.  Witnesses are held as
-syllables, ((1, alpha), (2, 1)) for sigma_1^alpha sigma_2, so a report costs
-the same at every alpha; Witness.word spells the letters out on each access.
+No fraction ever yields more than three axes.  _report(f) walks the tree
+from the canonical fraction alone, so every caller gets the same answer.
+Witnesses are held as syllables, ((1, alpha), (2, 1)) for sigma_1^alpha
+sigma_2, so a report costs the same at every alpha; Witness.word spells the
+letters out on each access.
 
 The census lists every canonical fraction up to a bound one alpha at a time
 (census_by_alpha).  The canonical betas of alpha come from a sieve over
-1..alpha // 2, and only (alpha, 1) and the fractions of the family members,
-the odd divisors of 2*alpha +- 1, get a report built: by the tree above
-every other fraction has count 0.
+1..alpha // 2.  Only (alpha, 1) and the family keys, the canonical betas of
+the odd divisors of 2*alpha +- 1, reach _report: by the tree above every
+other fraction has count 0.
 
 The closure of a word is identified by its determinant alpha = |det(M - I)|:
 its conjugacy invariant and its mirror's (exponent sum and SL2(Z) class of
 the Burau image) are compared with the witnesses and flype partners of
-(alpha, 1) and of the fractions of the family members, the odd divisors of
-2*alpha +- 1.  By the tree above, no other fraction of determinant alpha has
-a 3-braid.  The invariants of the candidates come from their syllables
-(braid.syllable_class), one step per syllable.
+(alpha, 1) and of the fractions of the family keys.  By the tree above, no
+other fraction of determinant alpha has a 3-braid.  The invariants of the
+candidates come from their syllables (braid.syllable_class), one step per
+syllable.
 """
 
 from __future__ import annotations
@@ -203,14 +205,19 @@ def _notes_for(f: Fraction) -> tuple[str, ...]:
     return ()
 
 
-def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
-    """The report of the canonical fraction f, its family hits taken from members.
+def _orbit(f: Fraction) -> set[int]:
+    """The orbit of the canonical fraction f from one pow; empty at alpha 0, 1.
 
-    members holds the orbit of f.beta, or any part of it that keeps every
-    family member (census and identify_closure pass only the divisors of
-    2*alpha +- 1); None or empty means no hit.  alpha 0, 1 and the torus
-    locus do not read it.
+    A set: in a tuple, beta^-1 = +-beta (as at (8,3)) would repeat a hit.
     """
+    if f.alpha < 2:
+        return set()
+    inv = pow(f.beta, -1, f.alpha)
+    return {f.beta, inv, f.alpha - f.beta, f.alpha - inv}
+
+
+def _report(f: Fraction) -> AxisReport:
+    """The report of the canonical fraction f, decided from f alone."""
     notes = _notes_for(f)
     if f.alpha == 0:
         return AxisReport(f, (Witness(((2, 1),), TORUS_POSITIVE),), notes)
@@ -225,7 +232,7 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
             extra = FamilyParams(FAMILY_ONE, 1, 1)
             witnesses = witnesses + (Witness(family_witness(extra), FLYPE_FAMILY, extra),)
         return AxisReport(f, witnesses, notes)
-    hits = family_hits(f.alpha, members) if members else []
+    hits = family_hits(f.alpha, _orbit(f))
     if hits:
         chosen = hits[0]
         return AxisReport(f, (Witness(family_witness(chosen), FLYPE_FAMILY, chosen),), notes)
@@ -234,8 +241,7 @@ def _report(f: Fraction, members: Optional[Iterable[int]]) -> AxisReport:
 
 def axis_classes(alpha: int, beta: int) -> AxisReport:
     """Classify the braid axes of b(alpha, beta) with explicit witnesses."""
-    f = twobridge.canonical(alpha, beta)
-    return _report(f, twobridge.orbit(f.alpha, f.beta))
+    return _report(twobridge.canonical(alpha, beta))
 
 
 def gof_count(alpha: int, beta: int) -> AxisReport:
@@ -249,27 +255,25 @@ def gof_count(alpha: int, beta: int) -> AxisReport:
 
 def canonical_fractions(alpha: int) -> Iterator[Fraction]:
     """Canonical fractions with the given alpha, in increasing beta order."""
-    if alpha == 0:
-        yield Fraction(0, 1)
-        return
-    if alpha == 1:
-        yield Fraction(1, 1)
-        return
     for beta in _canonical_betas(alpha):
         yield twobridge._trusted(alpha, beta)
 
 
 def _canonical_betas(alpha: int) -> Iterator[int]:
-    """The canonical betas of alpha >= 2, in increasing order, as plain ints.
+    """The canonical betas of alpha, in increasing order, as plain ints.
 
-    First every slot of 1..alpha // 2 that is a multiple of a prime factor
-    of alpha (found by trial division) is marked, so the unmarked slots are
-    the units and no gcd is taken.  The orbit of a unit meets 1..alpha // 2
-    in beta and its partner min(beta^-1, alpha - beta^-1), and the partner
-    map is an involution there.  Scanning upwards, the smaller of the two is
+    alpha 0 and 1 have the one beta 1.  Otherwise first every slot of
+    1..alpha // 2 that is a multiple of a prime factor of alpha (found by
+    trial division) is marked, so the unmarked slots are the units and no
+    gcd is taken.  The orbit of a unit meets 1..alpha // 2 in beta and its
+    partner min(beta^-1, alpha - beta^-1), and the partner map is an
+    involution there.  Scanning upwards, the smaller of the two is
     reached first and marks the larger, so every unmarked slot the scan
     reaches is an orbit minimum.
     """
+    if alpha in (0, 1):
+        yield 1
+        return
     half = alpha // 2
     marks = bytearray(half + 1)
     marks[0] = 1
@@ -291,46 +295,40 @@ def _canonical_betas(alpha: int) -> Iterator[int]:
         beta = find(0, beta + 1)
 
 
-def _family_members(alpha: int) -> dict[int, set[int]]:
-    """Every family member d of alpha, keyed by the canonical beta of (alpha, d).
+def _family_keys(alpha: int) -> set[int]:
+    """The canonical betas of the family members of alpha.
 
     d = 2q + 1 is a member when it divides n = 2*alpha + 1 or 2*alpha - 1
     with a cofactor e = 2p + 1 >= 3 (see family_hits).  Both are below alpha,
     and d * e = n = +-1 mod alpha makes e = +-d^-1, so {d, e, alpha - d,
     alpha - e} is the whole orbit of d and its least element the key.
     """
-    by_beta: dict[int, set[int]] = {}
+    keys: set[int] = set()
     if alpha < 2:  # 2*alpha +- 1 < 9 is no product of two factors >= 3
-        return by_beta
+        return keys
     for n in (2 * alpha + 1, 2 * alpha - 1):
         for d in range(3, isqrt(n) + 1, 2):
             if n % d == 0:
                 e = n // d
-                by_beta.setdefault(min(d, e, alpha - d, alpha - e), set()).update((d, e))
-    return by_beta
+                keys.add(min(d, e, alpha - d, alpha - e))
+    return keys
 
 
 def census_by_alpha(max_alpha: int) -> Iterator[tuple[int, Iterable[int], dict[int, AxisReport]]]:
     """(alpha, betas, reports) for every alpha <= max_alpha, in increasing alpha.
 
-    betas runs over the canonical betas of alpha in increasing order, as a
-    generator for alpha >= 2.  reports maps only the betas that can have a
-    3-braid to their report: 1 and the canonical betas of the family
-    members, the divisors of 2*alpha +- 1, the candidates identify_closure
-    walks too.  Each gets the members of its orbit in place of the whole
-    orbit: no other member can be a family hit, so every report equals
-    axis_classes(alpha, beta).  By the decision tree every other beta has
-    count 0 and no note (the (17,5) note sits on the member key 5), so its
+    betas is a generator of the canonical betas of alpha in increasing
+    order.  reports maps only the betas that can have a 3-braid to their
+    report, which is axis_classes(alpha, beta): 1 and the family keys, the
+    canonical betas of the divisors of 2*alpha +- 1, the candidates
+    identify_closure walks too.  By the decision tree every other beta has
+    count 0 and no note (the (17,5) note sits on the family key 5), so its
     report would be AxisReport(Fraction(alpha, beta), ()).
     """
     for alpha in range(0, max_alpha + 1):
-        members = _family_members(alpha)
-        # 1 is itself a member key at alpha 4, the (1,2,1) axis of b(4,1)
-        reports = {
-            beta: _report(twobridge._trusted(alpha, beta), members.get(beta))
-            for beta in members.keys() | {1}
-        }
-        yield alpha, (_canonical_betas(alpha) if alpha >= 2 else (1,)), reports
+        # 1 is itself a family key at alpha 4, the (1,2,1) axis of b(4,1)
+        reports = {beta: _report(twobridge._trusted(alpha, beta)) for beta in _family_keys(alpha) | {1}}
+        yield alpha, _canonical_betas(alpha), reports
 
 
 def census(max_alpha: int) -> Iterator[AxisReport]:
@@ -347,16 +345,16 @@ def census(max_alpha: int) -> Iterator[AxisReport]:
             yield AxisReport(trusted(alpha, beta), ()) if report is None else report
 
 
-def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Syllables]:
+def _candidates(f: Fraction) -> Iterator[Syllables]:
     """Every 3-braid representative of b(f), one syllable word per conjugacy class.
 
-    The witnesses of _report(f, members), then the witness and flype partner
-    of every family hit not yet listed: the partner and the hits other than
-    the chosen one can be conjugacy classes of their own.
+    The witnesses of _report(f), then the witness and flype partner of every
+    family hit of the orbit of f not yet listed: the partner and the hits
+    other than the chosen one can be conjugacy classes of their own.
     """
-    words = [w.syllables for w in _report(f, members).witnesses]
+    words = [w.syllables for w in _report(f).witnesses]
     yield from words
-    for params in family_hits(f.alpha, members or ()):
+    for params in family_hits(f.alpha, _orbit(f)):
         for w in (family_witness(params), flype_partner(params)):
             if w not in words:
                 words.append(w)
@@ -366,9 +364,9 @@ def _candidates(f: Fraction, members: Optional[set[int]]) -> Iterator[Syllables]
 def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
-    Walks (alpha, 1), then the canonical fractions of the family members of
+    Walks (alpha, 1), then the fractions of the family keys of
     alpha = |det(M - I)| in increasing beta: the only fractions with a
-    3-braid.  Returns the first candidate whose conjugacy class
+    3-braid.  Returns the first of their _candidates whose conjugacy class
     (braid.syllable_class) is that of the word or of its mirror.  None
     means no witness realises the closure (it need not be two-bridge).
     The candidates stay syllables, so the work beyond reading the word is
@@ -380,10 +378,9 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
         (False, braid.conjugacy_class(word)),
         (True, braid.conjugacy_class(braid.mirror(word))),
     )
-    members = _family_members(alpha)
-    for beta in sorted(members.keys() | {1}):  # every one a canonical beta
+    for beta in sorted(_family_keys(alpha) | {1}):  # every one a canonical beta
         f = twobridge._trusted(alpha, beta)
-        for candidate in _candidates(f, members.get(beta)):
+        for candidate in _candidates(f):
             key = braid.syllable_class(candidate)
             for mirrored, target in targets:
                 if key == target:

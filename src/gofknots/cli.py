@@ -66,14 +66,10 @@ def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: 
     return out
 
 
-def _cmd_gof(args) -> None:
-    report = classify.gof_count(args.alpha, args.beta)
-    _emit(_report_json(report, args.alpha, args.beta, "gof_count"))
-
-
-def _cmd_classify(args) -> None:
+def _cmd_axes(args) -> None:
+    # gof and classify print the same report under their own count key
     report = classify.axis_classes(args.alpha, args.beta)
-    _emit(_report_json(report, args.alpha, args.beta, "count"))
+    _emit(_report_json(report, args.alpha, args.beta, args.count_key))
 
 
 def _cmd_equiv(args) -> None:
@@ -220,15 +216,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gof", help="GOF-knot count of a lens space L(alpha, beta)")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    p.set_defaults(func=_cmd_gof)
-
-    p = sub.add_parser("classify", help="axis classes of a two-bridge link b(alpha, beta)")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    p.set_defaults(func=_cmd_classify)
+    for name, count_key, summary in (
+        ("gof", "gof_count", "GOF-knot count of a lens space L(alpha, beta)"),
+        ("classify", "count", "axis classes of a two-bridge link b(alpha, beta)"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("alpha", type=int)
+        p.add_argument("beta", type=int)
+        p.set_defaults(func=_cmd_axes, count_key=count_key)
 
     p = sub.add_parser("equiv", help="two-bridge fraction equivalence")
     p.add_argument("alpha1", type=int)

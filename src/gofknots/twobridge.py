@@ -48,9 +48,6 @@ class Fraction:
     def canonical(self) -> "Fraction":
         return canonical(self.alpha, self.beta)
 
-    def is_canonical(self) -> bool:
-        return self == self.canonical()
-
 
 def _check(alpha: int, beta: int) -> None:
     if alpha < 0:

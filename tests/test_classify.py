@@ -120,6 +120,16 @@ class TestAxisClasses:
         assert w.syllables == ((1, 2), (2, 2), (1, -2), (2, -1))
         assert w.word == (1, 1, 2, 2, -1, -1, -2)
 
+    def test_orbit_helper_is_the_validated_orbit(self):
+        # _report reads its family hits from _orbit(f); as a set it holds no
+        # repeated member when beta^-1 = +-beta, as at (8,3)
+        assert classify._orbit(twobridge.Fraction(0, 1)) == classify._orbit(twobridge.Fraction(1, 1)) == set()
+        for alpha in range(2, 601):
+            for f in classify.canonical_fractions(alpha):
+                full = twobridge.orbit(*f.pair)
+                assert classify._orbit(f) == set(full), f.pair
+                assert classify.family_hits(alpha, classify._orbit(f)) == classify.family_hits(alpha, full), f.pair
+
 
 class TestGofCount:
     @pytest.mark.parametrize(
@@ -401,15 +411,15 @@ class TestCensus:
         real = classify._report
         routed = []
 
-        def report(f, members):
+        def report(f):
             routed.append(f.pair)
-            return real(f, members)
+            return real(f)
 
         monkeypatch.setattr(classify, "_report", report)
         rows = list(classify.census(300))
         assert len(routed) == 902
         for alpha, beta in routed:
-            assert beta == 1 or beta in classify._family_members(alpha), (alpha, beta)
+            assert beta == 1 or beta in classify._family_keys(alpha), (alpha, beta)
         routed = set(routed)
         monkeypatch.setattr(classify, "_report", real)
         skipped = 0
@@ -456,4 +466,5 @@ class TestCensus:
         assert row.notes == (classify.L17_5_NOTE,)
         assert row.family == classify.FamilyParams("one", 2, 3)
         assert row.witnesses[0].label == "flype-family(one,p=2,q=3)"
-        assert classify._family_members(17)[5] == {5, 7}
+        assert 5 in classify._family_keys(17)
+        assert {5, 7} <= classify._orbit(twobridge.Fraction(17, 5))

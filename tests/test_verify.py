@@ -36,15 +36,22 @@ class TestViolationRecords:
     def test_caught_family_hit_prints_as_json(self, monkeypatch, capsys):
         # a fault the counts oracle catches carries a FamilyParams as actual:
         # 3 divides 2*11 - 1 but lies in the orbit of (11,3), not of (11,2)
-        real = classify._family_members
+        real_keys, real_orbit = classify._family_keys, classify._orbit
 
-        def extra_member(alpha):
-            members = real(alpha)
+        def extra_key(alpha):
+            keys = real_keys(alpha)
             if alpha == 11:
-                members.setdefault(2, set()).add(3)
+                keys.add(2)
+            return keys
+
+        def extra_member(f):
+            members = real_orbit(f)
+            if f.pair == (11, 2):
+                members.add(3)
             return members
 
-        monkeypatch.setattr(classify, "_family_members", extra_member)
+        monkeypatch.setattr(classify, "_family_keys", extra_key)
+        monkeypatch.setattr(classify, "_orbit", extra_member)
         assert cli.run(["verify", "--suite", "counts", "--max", "12"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc == [{
@@ -142,9 +149,9 @@ class TestCountsOracle:
     def test_family_set_equals_orbit_scan(self, monkeypatch):
         # the oracle is built without the library's family code
         with monkeypatch.context() as m:
-            for module, name in ((classify, "family_hits"), (classify, "_family_members"),
-                                 (classify, "family_membership"), (classify, "_canonical_betas"),
-                                 (twobridge, "orbit")):
+            for module, name in ((classify, "family_hits"), (classify, "_family_keys"),
+                                 (classify, "_orbit"), (classify, "family_membership"),
+                                 (classify, "_canonical_betas"), (twobridge, "orbit")):
                 m.setattr(module, name, None)
             forward = verify._family_fractions(300)
             raw = set(verify._family_solutions(300))
@@ -166,7 +173,7 @@ class TestCountsOracle:
         assert raw == defined
 
     def test_reads_no_library_family_code_outside_the_census(self, monkeypatch):
-        # census_by_alpha itself needs _family_members, family_hits and the sieve
+        # census_by_alpha itself needs _family_keys, _orbit, family_hits and the sieve
         monkeypatch.setattr(classify, "family_membership", None)
         monkeypatch.setattr(twobridge, "orbit", None)
         assert verify.verify_counts(200) == []
@@ -202,12 +209,12 @@ class TestCountsMutations:
     def test_torus_rule(self, monkeypatch, fault):
         real = classify._report
 
-        def report(f, members):
+        def report(f):
             if fault.startswith("no third") and f.pair == (4, 1):
-                return classify.AxisReport(f, real(f, members).witnesses[:2])
+                return classify.AxisReport(f, real(f).witnesses[:2])
             if fault.startswith("torus") and f.pair == (7, 2):
-                return classify.AxisReport(f, real(twobridge.Fraction(7, 1), None).witnesses)
-            return real(f, members)
+                return classify.AxisReport(f, real(twobridge.Fraction(7, 1)).witnesses)
+            return real(f)
 
         monkeypatch.setattr(classify, "_report", report)
         assert verify.verify_counts(200) != []
@@ -232,24 +239,24 @@ class TestCountsMutations:
 
     def test_dropped_member_key(self, monkeypatch):
         # (11,3) is the family fraction of 3 | 2*11 - 1; its report goes
-        real = classify._family_members
+        real = classify._family_keys
 
-        def members(alpha):
+        def keys(alpha):
             found = real(alpha)
             if alpha == 11:
-                del found[3]
+                found.remove(3)
             return found
 
-        monkeypatch.setattr(classify, "_family_members", members)
+        monkeypatch.setattr(classify, "_family_keys", keys)
         assert verify.verify_counts(200) != []
 
     def test_report_fraction_differs_from_key(self, monkeypatch):
         real = classify._report
 
-        def report(f, members):
+        def report(f):
             if f.pair == (11, 3):
-                return classify.AxisReport(twobridge.Fraction(11, 4), real(f, members).witnesses)
-            return real(f, members)
+                return classify.AxisReport(twobridge.Fraction(11, 4), real(f).witnesses)
+            return real(f)
 
         monkeypatch.setattr(classify, "_report", report)
         assert verify.verify_counts(200) != []
@@ -288,6 +295,6 @@ class TestOrientationMutations:
         assert verify.verify_orientation_uniqueness(200) != []
 
     def test_built_without_the_library_family_code(self, monkeypatch):
-        for name in ("family_membership", "family_hits", "_family_members"):
+        for name in ("family_membership", "family_hits", "_family_keys", "_orbit"):
             monkeypatch.setattr(classify, name, None)
         assert verify.verify_orientation_uniqueness(200) == []
