@@ -168,7 +168,11 @@ def orientation_classes(f) -> tuple[OrientationClass, ...]:
         odd = f.beta if f.beta % 2 == 1 else f.beta + f.alpha
         return (_oriented_class(f.alpha, odd),)
     first = _oriented_class(f.alpha, f.beta)
-    second = _oriented_class(f.alpha, f.beta + f.alpha)
+    # the class of beta + alpha is the first shifted by alpha: for alpha even
+    # and b odd, (b + alpha)(b^-1 + alpha) = 1 and -(b + alpha) = -b + alpha
+    # mod 2*alpha
+    m = 2 * f.alpha
+    second = OrientationClass(f.alpha, frozenset([(x + f.alpha) % m for x in first.reps]))
     if first.reps == second.reps:
         return (first,)
     return (first, second)

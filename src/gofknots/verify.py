@@ -7,9 +7,10 @@ values so a failure can be re-checked by hand.
 
 The two census-scale suites, counts and orientation, take the braid-index-3
 families from one generator, _family_solutions, which runs forward over
-(p, q) and shares no code with classify's family search.  They read the
-library's rows as plain ints (census_by_alpha) or its orientation classes,
-and build no object of their own per row.
+(p, q) and shares no code with classify's family search.  Counts reads the
+library's rows as plain ints (census_by_alpha); orientation reads the
+orientation classes of only the fractions that an admitting representative,
+1 or a family member, names.  Neither builds an object of its own per row.
 """
 
 from __future__ import annotations
@@ -197,12 +198,20 @@ def verify_counts(max_alpha: int = 5000) -> list[Violation]:
 def verify_orientation_uniqueness(max_alpha: int = 2000) -> list[Violation]:
     """At most one orientation of a two-component fraction is a closed 3-braid.
 
-    Exhausts even alpha up to the bound; the single allowed exception is
-    (4,1).  A class of twobridge.orientation_classes admits a 3-braid when
-    one of its representatives r below alpha is 1 or a family member: (alpha,
-    r) is a pair of _family_solutions.  The reps are mirror-closed, so those
-    below alpha cover the class.  Also confirms the two coincidences where
-    both orientations fall into one class: (8,3) and (10,3).
+    Covers every fraction of even alpha up to the bound; the single allowed
+    exception is (4,1).  A class of twobridge.orientation_classes admits a
+    3-braid when one of its representatives r below alpha is 1 or a family
+    member: (alpha, r) is a pair of _family_solutions.  The reps are
+    mirror-closed, so those below alpha cover the class.
+
+    A fraction other than (4,1) breaks a rule only when a class admits, and
+    the admitting rep r of that class reduces mod alpha into the fraction's
+    orbit, so the fraction is twobridge.canonical(alpha, r).  The suite
+    therefore visits the canonical fractions of the admitting reps of each
+    alpha, in increasing beta; every other fraction reads 0 and passes.
+    1 admits at every alpha, so (4,1) is always visited.  Also confirms the
+    two coincidences where both orientations fall into one class: (8,3) and
+    (10,3).
     """
     violations = []
     # the reps r < alpha that admit, by even alpha: 1 and the family members;
@@ -213,7 +222,7 @@ def verify_orientation_uniqueness(max_alpha: int = 2000) -> list[Violation]:
             admit.setdefault(alpha, [1]).append(b)
     for alpha in range(2, max_alpha + 1, 2):
         admits = admit.pop(alpha, (1,))
-        for f in classify.canonical_fractions(alpha):
+        for f in sorted({twobridge.canonical(alpha, r) for r in admits}):
             classes = twobridge.orientation_classes(f)
             admitting = sum(1 for c in classes if not c.reps.isdisjoint(admits))
             where = {"alpha": f.alpha, "beta": f.beta}

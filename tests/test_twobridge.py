@@ -218,6 +218,36 @@ class TestOrientationClasses:
                 assert pow(r, -1, m) in cls.reps
                 assert (-r) % m in cls.reps
 
+    def test_against_brute_force(self):
+        # every canonical fraction with alpha <= 60: the odd units mod
+        # 2*alpha over the unoriented orbit, split into classes closed under
+        # negation and inversion by search; the class of beta comes first
+        for alpha in range(2, 61):
+            m = 2 * alpha
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                inv = next(y for y in range(alpha) if beta * y % alpha == 1)
+                orbit = {beta, alpha - beta, inv, alpha - inv}
+                if beta != min(orbit):
+                    continue
+                odd = {x for x in range(1, m, 2) if math.gcd(x, m) == 1 and x % alpha in orbit}
+                lift = beta if beta % 2 else beta + alpha  # beta's odd lift
+                classes = []
+                for start in sorted(odd, key=lambda x: (x != lift, x)):
+                    if any(start in c for c in classes):
+                        continue
+                    cls, todo = set(), [start]
+                    while todo:
+                        x = todo.pop()
+                        if x not in cls:
+                            cls.add(x)
+                            todo += [m - x, next(y for y in range(m) if x * y % m == 1)]
+                    classes.append(frozenset(cls))
+                got = tb.orientation_classes(tb.Fraction(alpha, beta))
+                assert [c.reps for c in got] == classes, (alpha, beta)
+                assert all(c.alpha == alpha for c in got)
+
 
 class TestConway:
     def test_cf_to_fraction_examples(self):

@@ -294,7 +294,22 @@ class TestOrientationMutations:
         monkeypatch.setattr(twobridge, "orientation_classes", classes)
         assert verify.verify_orientation_uniqueness(200) != []
 
+    def test_fault_away_from_4_1(self, monkeypatch):
+        # (16, 3) carries the family member 3 (p=5, q=1); the suite must
+        # visit it, not only beta 1 of each alpha
+        real = twobridge.orientation_classes
+
+        def classes(f):
+            found = real(f)
+            return (found[0], found[0]) if f.pair == (16, 3) else found
+
+        monkeypatch.setattr(twobridge, "orientation_classes", classes)
+        violations = verify.verify_orientation_uniqueness(200)
+        assert [v.params for v in violations] == [{"alpha": 16, "beta": 3}]
+
     def test_built_without_the_library_family_code(self, monkeypatch):
-        for name in ("family_membership", "family_hits", "_family_keys", "_orbit"):
+        names = ("family_membership", "family_hits", "_family_keys", "_orbit",
+                 "canonical_fractions", "_canonical_betas")
+        for name in names:
             monkeypatch.setattr(classify, name, None)
         assert verify.verify_orientation_uniqueness(200) == []
