@@ -119,11 +119,31 @@ def format_word(word: Word) -> str:
     return " ".join(map(str, word))
 
 
+class _Letters:
+    """The letters of a syllable word, with their number as len()."""
+
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: Iterable[Syllable]):
+        self.syllables = tuple(syllables)
+
+    def __len__(self) -> int:
+        return sum(abs(e) for _, e in self.syllables)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(itertools.repeat(g if e > 0 else -g, abs(e)) for g, e in self.syllables)
+
+
 def expand(syllables: Iterable[Syllable]) -> Word:
-    """The letters of a syllable word: (g, e) is |e| copies of sign(e) * g."""
-    return tuple(
-        itertools.chain.from_iterable(itertools.repeat(g if e > 0 else -g, abs(e)) for g, e in syllables)
-    )
+    """The letters of a syllable word: (g, e) is |e| copies of sign(e) * g.
+
+    tuple() takes its size from len(_Letters), so the word is allocated once
+    at its final size.  A tuple grown from an iterator of unknown length is
+    reallocated a quarter larger at a time; each step can copy the whole word
+    and leave a freed block behind, and the peak memory of spelling out an
+    O(alpha)-letter witness then depends on the allocator's earlier state.
+    """
+    return tuple(_Letters(syllables))
 
 
 def format_syllables(syllables: Iterable[Syllable]) -> str:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -468,6 +469,20 @@ class TestSyllables:
             key = B.syllable_class(((1, k), (2, -1)))
             assert key[:2] == (k - 1, k + 2)
         assert B.syllable_class(((1, 40), (2, -1))) == B.conjugacy_class((1,) * 40 + (-2,))
+
+    def test_expand_allocates_the_word_once(self):
+        # a tuple grown from an iterator of unknown length ends up to a quarter
+        # larger than the word (8.9 MB here) before it is cut back
+        k = 10**6
+        tracemalloc.start()
+        try:
+            word = B.expand(((1, k), (2, -1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == k + 1 and word[-2:] == (1, -2)
+        assert peak < 8 * (k + 1) + 2**16
+        assert B.expand(s for s in ((1, 3), (2, -2))) == (1, 1, 1, -2, -2)
 
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError):
