@@ -27,7 +27,7 @@ def main() -> None:
 
     print("value table:")
     for alpha, beta in VALUE_TABLE:
-        report = classify.gof_count(alpha, beta)
+        report = classify.axis_classes(alpha, beta)
         witnesses = ", ".join(braid.format_syllables(w.syllables) for w in report.witnesses) or "-"
         print(f"  L({alpha},{beta}): {report.count}   [{witnesses}]")
 

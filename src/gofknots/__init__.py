@@ -63,9 +63,7 @@ from .twobridge import (
     OrientationClass,
     canonical,
     cf_to_fraction,
-    components,
     equivalent,
-    fraction_to_cf,
     orbit,
     orientation_classes,
 )

@@ -151,24 +151,23 @@ def family_membership(alpha: int, beta_star: int) -> Optional[FamilyParams]:
     return None
 
 
-def _q_exponent(params: FamilyParams) -> int:
-    return params.q if params.family == FAMILY_ONE else -(params.q + 1)
-
-
 def family_witness(params: FamilyParams) -> Syllables:
     """The closed 3-braid representing the family link, determinant alpha:
     sigma_1^p sigma_2^2 sigma_1^e sigma_2^-1, e = q or -(q + 1), as syllables."""
-    return ((1, params.p), (2, 2), (1, _q_exponent(params)), (2, -1))
+    e = params.q if params.family == FAMILY_ONE else -(params.q + 1)
+    return ((1, params.p), (2, 2), (1, e), (2, -1))
 
 
 def flype_partner(params: FamilyParams) -> Syllables:
-    """The flype mate of the witness: the sigma_2 blocks exchanged.
+    """The flype mate of the witness: sigma_1^p sigma_2^-1 sigma_1^e sigma_2^2.
 
-    An involution of the link swaps the two axes, so the partner never counts
-    as a separate axis class, but it can be a distinct conjugacy class and is
-    needed when recognising arbitrary representatives.
+    It is the witness read backwards and rotated to start at sigma_1^p, so
+    it is conjugate to braid.reverse of the witness.  _report never lists
+    it, but it can be a conjugacy class of its own and is needed when
+    recognising arbitrary representatives.
     """
-    return ((1, params.p), (2, -1), (1, _q_exponent(params)), (2, 2))
+    w = family_witness(params)
+    return w[:1] + w[:0:-1]
 
 
 def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:

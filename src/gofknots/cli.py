@@ -254,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max",
         type=_non_negative_int,
         default=None,
-        help="bound of the selected suite; with --suite all, only the alpha bound "
-        "of the counts and orientation suites",
+        help="bound of the selected suite, refused for conjugacy, which takes none; "
+        "with --suite all, only the alpha bound of the counts and orientation suites",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -144,30 +144,20 @@ class OrientationClass:
     reps: frozenset[int]
 
 
-def _oriented_class(alpha: int, b0: int) -> OrientationClass:
-    m = 2 * alpha
-    b = b0 % m
-    inv = pow(b, -1, m)
-    return OrientationClass(alpha, frozenset({b, inv, (-b) % m, (-inv) % m}))
-
-
 def orientation_classes(f) -> tuple[OrientationClass, ...]:
     """Orientation classes of the canonical fraction, mirror-identified.
 
-    Knots (alpha odd) and the degenerate alpha in {0, 1} have one class.  A
+    Each class is the oriented orbit of an odd form of beta.  Knots (alpha
+    odd) and the degenerate alpha in {0, 1} have one class.  A
     two-component link (alpha even >= 2) has candidate generators beta and
     beta + alpha mod 2*alpha; one class is returned when their orbits agree,
     otherwise two.
     """
     f = _as_fraction(f).canonical()
-    if f.alpha == 0:
-        return (OrientationClass(0, frozenset({1})),)
-    if f.alpha == 1:
-        return (_oriented_class(1, 1),)
-    if f.alpha % 2 == 1:
-        odd = f.beta if f.beta % 2 == 1 else f.beta + f.alpha
-        return (_oriented_class(f.alpha, odd),)
-    first = _oriented_class(f.alpha, f.beta)
+    odd = f.beta if f.beta % 2 == 1 else f.beta + f.alpha
+    first = OrientationClass(f.alpha, orbit(f.alpha, odd, oriented=True))
+    if f.alpha % 2 == 1 or f.alpha == 0:
+        return (first,)
     # the class of beta + alpha is the first shifted by alpha: for alpha even
     # and b odd, (b + alpha)(b^-1 + alpha) = 1 and -(b + alpha) = -b + alpha
     # mod 2*alpha
@@ -176,12 +166,6 @@ def orientation_classes(f) -> tuple[OrientationClass, ...]:
     if first.reps == second.reps:
         return (first,)
     return (first, second)
-
-
-def components(f) -> int:
-    """Component count of the link: two for even alpha (including 0), else one."""
-    f = _as_fraction(f)
-    return 2 if f.alpha % 2 == 0 else 1
 
 
 def cf_to_fraction(digits) -> tuple[tuple[int, int], Fraction]:
@@ -203,26 +187,3 @@ def cf_to_fraction(digits) -> tuple[tuple[int, int], Fraction]:
         num, den = d * num + den, num
     return (num, den), canonical(num, den)
 
-
-def fraction_to_cf(f) -> tuple[int, ...]:
-    """All-positive odd-length Conway digits of a fraction in canonical range.
-
-    Euclidean expansion of alpha/beta; an even-length expansion has its last
-    digit d >= 2 split into (d - 1, 1) so the length comes out odd, matching
-    the usual alternating 4-plat convention.  Inverse of cf_to_fraction on
-    the raw pair.
-    """
-    f = _as_fraction(f)
-    if f.alpha < 2 or not (0 < f.beta < f.alpha):
-        raise InvalidFractionError(
-            f"({f.alpha}, {f.beta}) is outside the range alpha >= 2, 0 < beta < alpha"
-        )
-    digits = []
-    a, b = f.alpha, f.beta
-    while b:
-        digits.append(a // b)
-        a, b = b, a % b
-    if len(digits) % 2 == 0:
-        digits[-1] -= 1
-        digits.append(1)
-    return tuple(digits)

@@ -11,6 +11,9 @@ families from one generator, _family_solutions, which runs forward over
 library's rows as plain ints (census_by_alpha); orientation reads the
 orientation classes of only the fractions that an admitting representative,
 1 or a family member, names.  Neither builds an object of its own per row.
+
+run_suites reads one table, _SUITES: each suite's name, how it runs under
+an optional bound, and whether --suite all passes --max on to it.
 """
 
 from __future__ import annotations
@@ -353,7 +356,29 @@ def verify_conjugacy_suite(
     return violations
 
 
-SUITES = ("counts", "orientation", "identity", "burau", "conjugacy")
+# Each suite by name: how it runs, run(bound, bounds) with bound None for
+# its defaults, and where --max reaches it: "all" under --suite all too,
+# "alone" only when selected by name, None never (it takes no bound).  The
+# entries look their suite up at call time, so a suite replaced on the
+# module is the one that runs.
+_SUITES = {
+    "counts": (lambda n, d: verify_counts(d.counts_alpha if n is None else n), "all"),
+    "orientation": (
+        lambda n, d: verify_orientation_uniqueness(d.orientation_alpha if n is None else n),
+        "all",
+    ),
+    "identity": (lambda n, d: verify_inverse_identity(d.identity_pq if n is None else n), "alone"),
+    "burau": (
+        lambda n, d: verify_burau_witnesses(
+            d.witness_pq if n is None else n,
+            max_torus=d.witness_torus if n is None else n,
+            seed=d.seed,
+        ),
+        "alone",
+    ),
+    "conjugacy": (lambda n, d: verify_conjugacy_suite(seed=d.seed), None),
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suites(
@@ -362,33 +387,19 @@ def run_suites(
     """Run one suite or all of them, optionally overriding the primary bound.
 
     For a single suite ``max_bound`` replaces that suite's bound (both burau
-    bounds for "burau").  For "all" it replaces only the alpha bounds of the
-    census suites, counts and orientation: the (p, q)-grid suites keep their
+    bounds for "burau"); a bound given to conjugacy, which takes none, is a
+    ValueError.  For "all" it replaces only the alpha bounds of the census
+    suites, counts and orientation: the (p, q)-grid suites keep their
     defaults, since burau grows as the cube of its bound.  None keeps every
     default; 0 is a bound like any other.
     """
-    selected = SUITES if suite == "all" else (suite,)
-    grid_bound = None if suite == "all" else max_bound
-
-    def pick(override: int | None, default: int) -> int:
-        return default if override is None else override
-
+    if suite != "all":
+        if suite not in _SUITES:
+            raise ValueError(f"unknown verify suite {suite!r}")
+        if max_bound is not None and _SUITES[suite][1] is None:
+            raise ValueError(f"the {suite} suite takes no bound, got {max_bound}")
     violations: list[Violation] = []
-    for name in selected:
-        if name == "counts":
-            violations += verify_counts(pick(max_bound, bounds.counts_alpha))
-        elif name == "orientation":
-            violations += verify_orientation_uniqueness(pick(max_bound, bounds.orientation_alpha))
-        elif name == "identity":
-            violations += verify_inverse_identity(pick(grid_bound, bounds.identity_pq))
-        elif name == "burau":
-            violations += verify_burau_witnesses(
-                pick(grid_bound, bounds.witness_pq),
-                max_torus=pick(grid_bound, bounds.witness_torus),
-                seed=bounds.seed,
-            )
-        elif name == "conjugacy":
-            violations += verify_conjugacy_suite(seed=bounds.seed)
-        else:
-            raise ValueError(f"unknown verify suite {name!r}")
+    for name in SUITES if suite == "all" else (suite,):
+        run, reach = _SUITES[name]
+        violations += run(max_bound if reach == "all" or name == suite else None, bounds)
     return violations

@@ -186,6 +186,18 @@ class TestWitnessInvariants:
                         assert not B.is_conjugate(wi, wj), (alpha, f.beta, i, j)
                         assert not B.is_conjugate(wi, B.mirror(wj)), (alpha, f.beta, i, j)
 
+    def test_flype_partner_is_the_reversed_witness(self):
+        # the syllables are spelled out here, and the class is read from the
+        # reversed letters of the witness, not from flype_partner's slicing
+        for family, e in ((classify.FAMILY_ONE, lambda q: q), (classify.FAMILY_TWO, lambda q: -(q + 1))):
+            for p in range(1, 40):
+                for q in range(1, 40):
+                    fp = classify.FamilyParams(family, p, q)
+                    partner = classify.flype_partner(fp)
+                    assert partner == ((1, p), (2, -1), (1, e(q)), (2, 2)), fp
+                    reversed_witness = B.reverse(B.expand(classify.family_witness(fp)))
+                    assert B.syllable_class(partner) == B.conjugacy_class(reversed_witness), fp
+
 
 class TestIdentifyClosure:
     def test_surgered_word(self):

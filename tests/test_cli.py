@@ -273,7 +273,9 @@ class TestArgvGolden:
     # dash-leading Conway digit; one argparse tree must give the same.  The
     # two argv whose witnesses pass MAX_WORD_LETTERS are newer: that parser
     # printed the 10^7-letter words and ran out of memory on the 10^15 ones.
-    # The two argv with a second `--` are newer too
+    # The two argv with a second `--` are newer too, and so is `verify
+    # --suite conjugacy --max 3`: that suite takes no bound, and the old
+    # dispatch ran it and ignored the bound
     CASES = [
         (("gof", "19", "3"), 0,
          "9138370245169e19701e5224014962c76ce10a8b50f0ffd81d603f7b7c13044f"),
@@ -353,6 +355,7 @@ class TestArgvGolden:
         (("verify", "--suite", "orientation", "--max", "10"), 0,
          "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
         (("verify", "--max", "-1"), 1, EMPTY),
+        (("verify", "--suite", "conjugacy", "--max", "3"), 1, EMPTY),
         (("verify", "--suite", "nope"), 1, EMPTY),
         ((), 1, EMPTY),
         (("nonsense",), 1, EMPTY),

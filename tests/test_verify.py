@@ -124,6 +124,26 @@ class TestRunSuites:
             assert args == (0,) and kwargs["max_torus"] == 0
             assert "verify_counts" not in calls
 
+    def test_every_suite_is_a_cli_choice_and_runs(self, calls):
+        parser = cli._build_parser()
+        for name in verify.SUITES:
+            assert parser.parse_args(["verify", "--suite", name]).suite == name
+            calls.clear()
+            bound = None if name == "conjugacy" else 0
+            assert verify.run_suites(name, bound) == []
+            [(args, kwargs)] = calls.values()
+            assert args[:1] == (() if bound is None else (0,)), name
+
+    def test_a_bound_to_the_suite_without_one_is_refused(self, calls):
+        with pytest.raises(ValueError, match="takes no bound"):
+            verify.run_suites("conjugacy", 3)
+        assert calls == {}
+        # under --suite all it runs with its seed and nothing else
+        bounds = verify.VerifyBounds(seed=7)
+        assert verify.run_suites("all", 3, bounds) == []
+        assert calls["verify_conjugacy_suite"] == ((), {"seed": 7})
+        assert calls["verify_burau_witnesses"][1]["seed"] == 7
+
     def test_max_zero_suites_pass(self):
         assert verify.run_suites("counts", 0) == []
         assert verify.run_suites("burau", 0) == []
