@@ -7,10 +7,9 @@ representatives of b(alpha, beta).  The decision tree:
 
   * alpha = 0 (two-component unlink): one axis, witness sigma_2.
   * beta = +-1 mod alpha (torus links, and the unknot at alpha = 1): two
-    axes, sigma_1^alpha sigma_2 and sigma_1^alpha sigma_2^-1, except
-    alpha = 4 which picks up a third from the other orientation of b(4,1).
-  * otherwise: one axis iff some odd member beta* of the mirror orbit solves
-    a Murasugi braid-index-3 family,
+    axes, sigma_1^alpha sigma_2 and sigma_1^alpha sigma_2^-1.
+  * plus, at every alpha > 0, one axis iff some odd member beta* of the
+    mirror orbit solves a Murasugi braid-index-3 family,
 
         family one:  alpha = 2pq + p + q      beta* = 2q + 1
         family two:  alpha = 2pq + p + q + 1  beta* = 2q + 1
@@ -19,8 +18,9 @@ representatives of b(alpha, beta).  The decision tree:
     sigma_1^p sigma_2^2 sigma_1^q sigma_2^-1 (family one) and
     sigma_1^p sigma_2^2 sigma_1^-(q+1) sigma_2^-1 (family two).
 
-No fraction ever yields more than three axes.  _report(f) walks the tree
-from the canonical fraction alone, so every caller gets the same answer.
+The rules meet only at (4,1) (see _report), the one fraction with three
+axes.  _report(f) walks the tree from the canonical fraction alone, so
+every caller gets the same answer.
 Witnesses are held as syllables, ((1, alpha), (2, 1)) for sigma_1^alpha
 sigma_2, so a report costs the same at every alpha; Witness.word spells the
 letters out on each access.
@@ -31,13 +31,13 @@ The census lists every canonical fraction up to a bound one alpha at a time
 the odd divisors of 2*alpha +- 1, reach _report: by the tree above every
 other fraction has count 0.
 
-The closure of a word is identified by its determinant alpha = |det(M - I)|:
-its conjugacy invariant and its mirror's (exponent sum and SL2(Z) class of
-the Burau image) are compared with the witnesses and flype partners of
-(alpha, 1) and of the fractions of the family keys.  By the tree above, no
-other fraction of determinant alpha has a 3-braid.  The invariants of the
-candidates come from their syllables (braid.syllable_class), one step per
-syllable.
+The closure of a word is identified by its conjugacy invariant and its
+mirror's (exponent sum and SL2(Z) class of the Burau image M), which give
+its determinant alpha = |det(M - I)| = |2 - trace M|.  They are compared
+with the witnesses and flype partners of (alpha, 1) and of the fractions of
+the family keys.  By the tree above, no other fraction of determinant alpha
+has a 3-braid.  The invariants of the candidates come from their syllables
+(braid.syllable_class), one step per syllable.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
-from . import braid, cover, twobridge
+from . import braid, twobridge
 from .braid import Syllables, Word
 from .twobridge import Fraction
 
@@ -216,26 +216,26 @@ def _orbit(f: Fraction) -> set[int]:
 
 
 def _report(f: Fraction) -> AxisReport:
-    """The report of the canonical fraction f, decided from f alone."""
+    """The report of the canonical fraction f, decided from f alone: the
+    torus pair when beta = 1, plus the first family hit of the orbit.
+
+    The orbit of (alpha, 1) is {1, alpha - 1}.  alpha - 1 divides
+    2*alpha + 1 = 2(alpha - 1) + 3 only if it divides 3, and never
+    2*alpha - 1 = 2(alpha - 1) + 1, so (4,1) is the one torus fraction with
+    a hit: family one, (p, q) = (1, 1), b(4,1) reoriented as Conway (1,2,1).
+    """
     notes = _notes_for(f)
     if f.alpha == 0:
         return AxisReport(f, (Witness(((2, 1),), TORUS_POSITIVE),), notes)
+    witnesses: tuple[Witness, ...] = ()
     if f.beta == 1:  # alpha = 1 too: the unknot closes sigma_1 sigma_2^+-1
         witnesses = (
             Witness(((1, f.alpha), (2, 1)), TORUS_POSITIVE),
             Witness(((1, f.alpha), (2, -1)), TORUS_NEGATIVE),
         )
-        if f.alpha == 4:
-            # the reversed orientation of b(4,1) is the Conway (1,2,1) link
-            # and contributes its own axis; no other fraction does this
-            extra = FamilyParams(FAMILY_ONE, 1, 1)
-            witnesses = witnesses + (Witness(family_witness(extra), FLYPE_FAMILY, extra),)
-        return AxisReport(f, witnesses, notes)
-    hits = family_hits(f.alpha, _orbit(f))
-    if hits:
-        chosen = hits[0]
-        return AxisReport(f, (Witness(family_witness(chosen), FLYPE_FAMILY, chosen),), notes)
-    return AxisReport(f, (), notes)
+    for params in family_hits(f.alpha, _orbit(f))[:1]:
+        witnesses += (Witness(family_witness(params), FLYPE_FAMILY, params),)
+    return AxisReport(f, witnesses, notes)
 
 
 def axis_classes(alpha: int, beta: int) -> AxisReport:
@@ -364,7 +364,8 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
     Walks (alpha, 1), then the fractions of the family keys of
-    alpha = |det(M - I)| in increasing beta: the only fractions with a
+    alpha = |det(M - I)| = |2 - trace M| (the trace is in the word's
+    conjugacy class) in increasing beta: the only fractions with a
     3-braid.  Returns the first of their _candidates whose conjugacy class
     (braid.syllable_class) is that of the word or of its mirror.  None
     means no witness realises the closure (it need not be two-bridge).
@@ -372,11 +373,9 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     the trial division of 2*alpha +- 1.
     """
     word = braid.check_word(word)
-    alpha = cover.closure_determinant(word)
-    targets = (
-        (False, braid.conjugacy_class(word)),
-        (True, braid.conjugacy_class(braid.mirror(word))),
-    )
+    key = braid.conjugacy_class(word)
+    alpha = abs(2 - key[1])  # det(M - I) = 2 - trace M in SL2(Z)
+    targets = ((False, key), (True, braid.conjugacy_class(braid.mirror(word))))
     for beta in sorted(_family_keys(alpha) | {1}):  # every one a canonical beta
         f = twobridge._trusted(alpha, beta)
         for candidate in _candidates(f):

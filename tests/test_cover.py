@@ -58,6 +58,16 @@ class TestClosureDeterminant:
         assert cover.closure_determinant(B.mirror(w)) == d
         assert cover.closure_determinant(B.reverse(w)) == d
 
+    @pytest.mark.parametrize("word", [(), (2,)])
+    def test_from_class_trace_examples(self, word):
+        assert abs(2 - B.conjugacy_class(word)[1]) == cover.closure_determinant(word)
+
+    @given(words)
+    def test_from_class_trace(self, w):
+        # det(M - I) = 2 - trace M in SL2(Z): identify_closure reads its
+        # determinant off the class
+        assert abs(2 - B.conjugacy_class(w)[1]) == cover.closure_determinant(w)
+
     def test_witness_determinants_up_to_2000(self):
         for alpha in range(0, 2001):
             for f in classify.canonical_fractions(alpha):

@@ -239,6 +239,23 @@ class TestCountsMutations:
         monkeypatch.setattr(classify, "_report", report)
         assert verify.verify_counts(200) != []
 
+    @pytest.mark.parametrize("pair", [(6, 1), (4, 1)])
+    def test_torus_third_axis_from_family_hits(self, monkeypatch, pair):
+        # the third axis of (4,1) is its family hit: a hit added at (6,1),
+        # or the one at (4,1) removed, must be caught there and only there
+        real = classify.family_hits
+
+        def hits(alpha, orbit):
+            found = real(alpha, orbit)
+            if (alpha, min(orbit, default=None)) == pair:
+                return [] if found else [classify.FamilyParams(classify.FAMILY_ONE, 1, 1)]
+            return found
+
+        monkeypatch.setattr(classify, "family_hits", hits)
+        violations = verify.verify_counts(200)
+        assert violations != []
+        assert {(v.params["alpha"], v.params.get("beta")) for v in violations} == {pair}
+
     @pytest.mark.parametrize("fault", ["non-minimal", "duplicate", "missing"])
     def test_canonical_fractions(self, monkeypatch, fault):
         # the census reads the canonical fractions as the betas of
