@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cover import Matrix2, burau_matrix, burau_syllables
 
@@ -191,8 +190,7 @@ def surgery_twist(word: Word, n: int) -> Word:
 # normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Left weighted form Delta^delta_power * factors, factors in {S1,S2,S12,S21}."""
 
     delta_power: int

@@ -42,9 +42,8 @@ has a 3-braid.  The invariants of the candidates come from their syllables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import braid, twobridge
 from .braid import Syllables, Word
@@ -67,8 +66,7 @@ L17_5_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     family: str  # FAMILY_ONE or FAMILY_TWO
     p: int
     q: int
@@ -83,8 +81,7 @@ class FamilyParams:
         return 2 * self.q + 1
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     # nonzero exponents and neighbours of distinct generators, so that equal
     # braid words give equal witnesses
     syllables: Syllables
@@ -105,8 +102,7 @@ class Witness:
         return f"{FLYPE_FAMILY}({fp.family},p={fp.p},q={fp.q})"
 
 
-@dataclass(frozen=True)
-class AxisReport:
+class AxisReport(NamedTuple):
     fraction: Fraction
     witnesses: tuple[Witness, ...]
     notes: tuple[str, ...] = ()
@@ -123,8 +119,7 @@ class AxisReport:
         return None
 
 
-@dataclass(frozen=True)
-class ClosureId:
+class ClosureId(NamedTuple):
     fraction: Fraction
     mirrored: bool
     matched_syllables: Syllables

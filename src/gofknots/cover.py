@@ -19,7 +19,6 @@ exponent) maps in one step per syllable, whatever its length in letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -97,8 +96,7 @@ def closure_determinant(word: Iterable[int]) -> int:
     return abs((m.a - 1) * (m.d - 1) - m.b * m.c)
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(NamedTuple):
     """Invariant factors (d1, d2) with d1 | d2; 0 encodes an infinite factor."""
 
     invariant_factors: tuple[int, int]
@@ -127,8 +125,7 @@ def dbc_homology(word: Iterable[int]) -> HomologyClass:
     return HomologyClass(_smith_2x2(m.a - 1, m.b, m.c, m.d - 1))
 
 
-@dataclass(frozen=True)
-class SlopeSpec:
+class SlopeSpec(NamedTuple):
     """A lifted surgery slope: p/q upstairs, possibly two parallel curves."""
 
     numerator: int

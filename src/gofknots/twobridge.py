@@ -16,7 +16,7 @@ unknot b(1,1), and a negative alpha input is read as the mirror (|alpha|,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvalidFractionError(ValueError):
@@ -31,15 +31,28 @@ class DegenerateContinuedFractionError(ValueError):
     """A continued fraction evaluation hit a zero denominator."""
 
 
-@dataclass(frozen=True, order=True)
-class Fraction:
-    """A validated (not necessarily canonical) two-bridge fraction."""
-
+class _FractionFields(NamedTuple):
     alpha: int
     beta: int
 
+
+class Fraction(_FractionFields):
+    """A validated (not necessarily canonical) two-bridge fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int) -> "Fraction":
+        self = tuple.__new__(cls, (alpha, beta))
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
         _check(self.alpha, self.beta)
+
+    @classmethod
+    def _make(cls, iterable) -> "Fraction":
+        # the NamedTuple _make, and _replace through it, would skip the check
+        return cls(*iterable)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -60,13 +73,11 @@ def _check(alpha: int, beta: int) -> None:
 def _trusted(alpha: int, beta: int) -> Fraction:
     """A Fraction whose gcd the caller has already checked; skips __post_init__.
 
-    Fills the instance dict that the generated frozen __init__ fills field by
-    field, in one update, so the result compares, hashes and orders like
-    Fraction(alpha, beta) and still refuses assignment.
+    Builds the tuple that Fraction.__new__ builds, without the check, so the
+    result compares, hashes and orders like Fraction(alpha, beta) and still
+    refuses assignment.
     """
-    f = object.__new__(Fraction)
-    f.__dict__.update(alpha=alpha, beta=beta)
-    return f
+    return tuple.__new__(Fraction, (alpha, beta))
 
 
 def _as_fraction(f) -> Fraction:
@@ -92,9 +103,10 @@ def canonical(alpha: int, beta: int) -> Fraction:
     if alpha == 1:
         return _trusted(1, 1)
     b = beta % alpha
-    if math.gcd(alpha, b) != 1:
-        raise InvalidFractionError(f"gcd({alpha}, {beta}) != 1: not a two-bridge fraction")
-    inv = pow(b, -1, alpha)
+    try:
+        inv = pow(b, -1, alpha)  # raises exactly when gcd(alpha, b) != 1
+    except ValueError:
+        raise InvalidFractionError(f"gcd({alpha}, {beta}) != 1: not a two-bridge fraction") from None
     return _trusted(alpha, min(b, inv, alpha - b, alpha - inv))
 
 
@@ -132,8 +144,7 @@ def equivalent(f1, f2, oriented: bool = False, mirror: bool = True) -> bool:
     return (f2.beta % m) in orbit(f1.alpha, f1.beta, oriented, mirror)
 
 
-@dataclass(frozen=True)
-class OrientationClass:
+class OrientationClass(NamedTuple):
     """An orientation class of b(alpha, beta): odd representatives mod 2*alpha.
 
     ``reps`` is closed under x -> x^{-1} and x -> -x mod 2*alpha, so it has at

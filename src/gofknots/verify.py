@@ -19,17 +19,15 @@ an optional bound, and whether --suite all passes --max on to it.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, is_dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import braid, classify, cover, twobridge
 
 DEFAULT_SEED = 59318
 
 
-@dataclass(frozen=True)
-class VerifyBounds:
+class VerifyBounds(NamedTuple):
     """Default parameter ranges; chosen to finish in well under a minute."""
 
     counts_alpha: int = 5000
@@ -40,16 +38,16 @@ class VerifyBounds:
     seed: int = DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     suite: str
     params: dict
     expected: object
     actual: object
 
     def as_json(self) -> dict:
-        """The record as plain JSON values; a dataclass value becomes a dict."""
-        plain = lambda value: asdict(value) if is_dataclass(value) else value
+        """The record as plain JSON values; a value type (such as a
+        FamilyParams) becomes a dict of its fields."""
+        plain = lambda value: value._asdict() if hasattr(value, "_asdict") else value
         return {
             "suite": self.suite,
             "params": self.params,
