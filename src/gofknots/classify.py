@@ -27,15 +27,15 @@ letters out on each access.
 
 The census lists every canonical fraction up to a bound one alpha at a time
 (census_by_alpha).  The canonical betas of alpha come from a sieve over
-1..alpha // 2.  Only (alpha, 1) and the family keys, the canonical betas of
-the odd divisors of 2*alpha +- 1, reach _report: by the tree above every
-other fraction has count 0.
+1..alpha // 2.  Only the axis betas of alpha (_axis_betas: 1 and the
+canonical betas of the odd divisors of 2*alpha +- 1) reach _report: by the
+tree above every other fraction has count 0.
 
 The closure of a word is identified by its conjugacy invariant and its
 mirror's (exponent sum and SL2(Z) class of the Burau image M), which give
 its determinant alpha = |det(M - I)| = |2 - trace M|.  They are compared
-with the witnesses and flype partners of (alpha, 1) and of the fractions of
-the family keys.  By the tree above, no other fraction of determinant alpha
+with the witnesses and flype partners of the fractions of the axis betas of
+alpha.  By the tree above, no other fraction of determinant alpha
 has a 3-braid.  The invariants of the candidates come from their syllables
 (braid.syllable_class), one step per syllable.
 """
@@ -178,11 +178,12 @@ def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
     members and are skipped (d = 2*alpha +- 1 would give p = 0).
     All hits describe the same axis class, so the order only picks the
     printed witness: solutions with odd q come first (for odd alpha the two
-    mates (p,q) and (q,p) split one odd, one even), then by orbit member.
+    mates (p,q) and (q,p) split one odd, one even), then by orbit member,
+    a key unique per hit, so the order of orbit decides nothing.
     """
     one, two = 2 * alpha + 1, 2 * alpha - 1
     hits = []
-    for d in sorted(orbit):
+    for d in orbit:
         if d % 2 == 0 or not 3 <= d < alpha:
             continue
         if one % d == 0:
@@ -191,12 +192,6 @@ def family_hits(alpha: int, orbit: Iterable[int]) -> list[FamilyParams]:
             hits.append(FamilyParams(FAMILY_TWO, (two // d - 1) // 2, (d - 1) // 2))
     hits.sort(key=lambda fp: (fp.q % 2 == 0, fp.beta_star))
     return hits
-
-
-def _notes_for(f: Fraction) -> tuple[str, ...]:
-    if (f.alpha, f.beta) == (17, 5):
-        return (L17_5_NOTE,)
-    return ()
 
 
 def _orbit(f: Fraction) -> set[int]:
@@ -210,27 +205,29 @@ def _orbit(f: Fraction) -> set[int]:
     return {f.beta, inv, f.alpha - f.beta, f.alpha - inv}
 
 
+def _torus(f: Fraction) -> tuple[Witness, ...]:
+    """The torus witnesses of the canonical fraction f: sigma_2 at alpha 0,
+    sigma_1^alpha sigma_2^+-1 at beta 1 (the unknot at alpha 1), else none."""
+    if f.alpha == 0:
+        return (Witness(((2, 1),), TORUS_POSITIVE),)
+    if f.beta != 1:
+        return ()
+    return (Witness(((1, f.alpha), (2, 1)), TORUS_POSITIVE), Witness(((1, f.alpha), (2, -1)), TORUS_NEGATIVE))
+
+
 def _report(f: Fraction) -> AxisReport:
-    """The report of the canonical fraction f, decided from f alone: the
-    torus pair when beta = 1, plus the first family hit of the orbit.
+    """The report of the canonical fraction f, decided from f alone: its
+    torus witnesses, plus the first family hit of the orbit.
 
     The orbit of (alpha, 1) is {1, alpha - 1}.  alpha - 1 divides
     2*alpha + 1 = 2(alpha - 1) + 3 only if it divides 3, and never
     2*alpha - 1 = 2(alpha - 1) + 1, so (4,1) is the one torus fraction with
     a hit: family one, (p, q) = (1, 1), b(4,1) reoriented as Conway (1,2,1).
     """
-    notes = _notes_for(f)
-    if f.alpha == 0:
-        return AxisReport(f, (Witness(((2, 1),), TORUS_POSITIVE),), notes)
-    witnesses: tuple[Witness, ...] = ()
-    if f.beta == 1:  # alpha = 1 too: the unknot closes sigma_1 sigma_2^+-1
-        witnesses = (
-            Witness(((1, f.alpha), (2, 1)), TORUS_POSITIVE),
-            Witness(((1, f.alpha), (2, -1)), TORUS_NEGATIVE),
-        )
+    witnesses = _torus(f)
     for params in family_hits(f.alpha, _orbit(f))[:1]:
         witnesses += (Witness(family_witness(params), FLYPE_FAMILY, params),)
-    return AxisReport(f, witnesses, notes)
+    return AxisReport(f, witnesses, (L17_5_NOTE,) if f.pair == (17, 5) else ())
 
 
 def axis_classes(alpha: int, beta: int) -> AxisReport:
@@ -289,15 +286,16 @@ def _canonical_betas(alpha: int) -> Iterator[int]:
         beta = find(0, beta + 1)
 
 
-def _family_keys(alpha: int) -> set[int]:
-    """The canonical betas of the family members of alpha.
+def _axis_betas(alpha: int) -> set[int]:
+    """The only canonical betas of alpha with a 3-braid: 1 and the family
+    keys, the canonical betas of the family members of alpha.
 
     d = 2q + 1 is a member when it divides n = 2*alpha + 1 or 2*alpha - 1
     with a cofactor e = 2p + 1 >= 3 (see family_hits).  Both are below alpha,
     and d * e = n = +-1 mod alpha makes e = +-d^-1, so {d, e, alpha - d,
     alpha - e} is the whole orbit of d and its least element the key.
     """
-    keys: set[int] = set()
+    keys = {1}
     if alpha < 2:  # 2*alpha +- 1 < 9 is no product of two factors >= 3
         return keys
     for n in (2 * alpha + 1, 2 * alpha - 1):
@@ -312,16 +310,14 @@ def census_by_alpha(max_alpha: int) -> Iterator[tuple[int, Iterable[int], dict[i
     """(alpha, betas, reports) for every alpha <= max_alpha, in increasing alpha.
 
     betas is a generator of the canonical betas of alpha in increasing
-    order.  reports maps only the betas that can have a 3-braid to their
-    report, which is axis_classes(alpha, beta): 1 and the family keys, the
-    canonical betas of the divisors of 2*alpha +- 1, the candidates
-    identify_closure walks too.  By the decision tree every other beta has
-    count 0 and no note (the (17,5) note sits on the family key 5), so its
-    report would be AxisReport(Fraction(alpha, beta), ()).
+    order.  reports maps only the betas that can have a 3-braid,
+    _axis_betas(alpha), to their report, which is axis_classes(alpha, beta).
+    By the decision tree every other beta has count 0 and no note (the
+    (17,5) note sits on the axis beta 5), so its report would be
+    AxisReport(Fraction(alpha, beta), ()).
     """
     for alpha in range(0, max_alpha + 1):
-        # 1 is itself a family key at alpha 4, the (1,2,1) axis of b(4,1)
-        reports = {beta: _report(twobridge._trusted(alpha, beta)) for beta in _family_keys(alpha) | {1}}
+        reports = {beta: _report(twobridge._trusted(alpha, beta)) for beta in _axis_betas(alpha)}
         yield alpha, _canonical_betas(alpha), reports
 
 
@@ -342,27 +338,26 @@ def census(max_alpha: int) -> Iterator[AxisReport]:
 def _candidates(f: Fraction) -> Iterator[Syllables]:
     """Every 3-braid representative of b(f), one syllable word per conjugacy class.
 
-    The witnesses of _report(f), then the witness and flype partner of every
-    family hit of the orbit of f not yet listed: the partner and the hits
-    other than the chosen one can be conjugacy classes of their own.
+    The torus witnesses of f, then the witness and flype partner of every
+    family hit of the orbit of f, each of which can be a class of its own.
+    None repeats: a partner's second syllable is (2, -1), a witness's
+    (2, 2), and (p, e) fix the params.
     """
-    words = [w.syllables for w in _report(f).witnesses]
-    yield from words
+    for w in _torus(f):
+        yield w.syllables
     for params in family_hits(f.alpha, _orbit(f)):
-        for w in (family_witness(params), flype_partner(params)):
-            if w not in words:
-                words.append(w)
-                yield w
+        yield family_witness(params)
+        yield flype_partner(params)
 
 
 def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
-    Walks (alpha, 1), then the fractions of the family keys of
-    alpha = |det(M - I)| = |2 - trace M| (the trace is in the word's
-    conjugacy class) in increasing beta: the only fractions with a
-    3-braid.  Returns the first of their _candidates whose conjugacy class
-    (braid.syllable_class) is that of the word or of its mirror.  None
+    Walks the fractions of the axis betas of alpha = |det(M - I)| =
+    |2 - trace M| (the trace is in the word's conjugacy class) in
+    increasing beta: the only fractions with a 3-braid.  Returns the first
+    of their _candidates whose conjugacy class (braid.syllable_class) is
+    that of the word or of its mirror.  None
     means no witness realises the closure (it need not be two-bridge).
     The candidates stay syllables, so the work beyond reading the word is
     the trial division of 2*alpha +- 1.
@@ -371,7 +366,7 @@ def identify_closure(word: Word) -> Optional[ClosureId]:
     key = braid.conjugacy_class(word)
     alpha = abs(2 - key[1])  # det(M - I) = 2 - trace M in SL2(Z)
     targets = ((False, key), (True, braid.conjugacy_class(braid.mirror(word))))
-    for beta in sorted(_family_keys(alpha) | {1}):  # every one a canonical beta
+    for beta in sorted(_axis_betas(alpha)):
         f = twobridge._trusted(alpha, beta)
         for candidate in _candidates(f):
             key = braid.syllable_class(candidate)

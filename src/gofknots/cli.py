@@ -39,10 +39,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _fraction_json(f: twobridge.Fraction) -> list[int]:
-    return [f.alpha, f.beta]
-
-
 def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: str) -> dict:
     for w in report.witnesses:
         letters = sum(abs(e) for _, e in w.syllables)
@@ -54,7 +50,7 @@ def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: 
     out = {
         "alpha": alpha,
         "beta": beta,
-        "canonical": _fraction_json(report.fraction),
+        "canonical": list(report.fraction),
         count_key: report.count,
         "witnesses": [list(w.word) for w in report.witnesses],
         "labels": [w.label for w in report.witnesses],
@@ -62,7 +58,7 @@ def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: 
     }
     if count_key == "count":
         fp = report.family
-        out["family"] = None if fp is None else {"family": fp.family, "p": fp.p, "q": fp.q}
+        out["family"] = None if fp is None else fp._asdict()
     return out
 
 
@@ -84,7 +80,7 @@ def _cmd_equiv(args) -> None:
 
 def _cmd_normalize(args) -> None:
     f = twobridge.canonical(args.alpha, args.beta)
-    _emit({"alpha": args.alpha, "beta": args.beta, "canonical": _fraction_json(f)})
+    _emit({"alpha": args.alpha, "beta": args.beta, "canonical": list(f)})
 
 
 def _cmd_conway(args) -> None:
@@ -93,7 +89,7 @@ def _cmd_conway(args) -> None:
     except ValueError:
         raise ValueError(f"conway digits must be integers, got {args.digits!r}") from None
     raw, canon = twobridge.cf_to_fraction(digits)
-    _emit({"digits": list(digits), "raw": list(raw), "canonical": _fraction_json(canon)})
+    _emit({"digits": list(digits), "raw": list(raw), "canonical": list(canon)})
 
 
 def _cmd_enumerate(args) -> None:
@@ -183,7 +179,7 @@ def _cmd_identify(args) -> int | None:
         _emit({"unrecognized": True, "determinant": det})
         return 2
     f, w = result.fraction, result.matched_witness
-    _emit({"fraction": _fraction_json(f), "mirrored": result.mirrored, "matched_witness": list(w)})
+    _emit({"fraction": list(f), "mirrored": result.mirrored, "matched_witness": list(w)})
     return None
 
 

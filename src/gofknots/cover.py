@@ -101,12 +101,6 @@ class HomologyClass(NamedTuple):
 
     invariant_factors: tuple[int, int]
 
-    @property
-    def order(self) -> int:
-        """Group order, 0 if infinite."""
-        d1, d2 = self.invariant_factors
-        return d1 * d2
-
 
 def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     # determinantal divisors: d1 = gcd of entries, d1*d2 = |det|

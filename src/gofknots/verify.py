@@ -247,7 +247,11 @@ def verify_orientation_uniqueness(max_alpha: int = 2000) -> list[Violation]:
 
 
 def verify_inverse_identity(max_pq: int = 100) -> list[Violation]:
-    """(2p+1)(2q+1) is 1 mod 2(2pq+p+q) and -1 mod 2(2pq+p+q+1)."""
+    """(2p+1)(2q+1) is 1 mod 2(2pq+p+q) and -1 mod 2(2pq+p+q+1).
+
+    The suite reads no library code, so no library fault can make either of
+    its violations fire: it checks the identity family_hits divides by.
+    """
     violations = []
     for p in range(1, max_pq + 1):
         for q in range(1, max_pq + 1):

@@ -99,6 +99,12 @@ class TestGrammar:
     def test_roundtrip(self, w):
         assert B.parse_word(B.format_word(w)) == w
 
+    def test_word_functions_name_the_bad_letter(self):
+        with pytest.raises(B.BraidParseError, match="invalid braid letter 0"):
+            B.conjugacy_class((1, 0))
+        with pytest.raises(B.BraidParseError, match="invalid braid letter 7"):
+            B.normal_form((1, 7))
+
 
 class TestWordOps:
     def test_examples(self):

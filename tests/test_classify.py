@@ -224,6 +224,10 @@ class TestIdentifyClosure:
         assert classify.identify_closure(()) is None
         assert classify.identify_closure((1, -1)) is None
 
+    def test_bad_letter_is_named(self):
+        with pytest.raises(B.BraidParseError, match="invalid braid letter 3"):
+            classify.identify_closure((3,))
+
     def test_determinant_one_non_two_bridge(self):
         # the (3,5) torus knot closes a 3-braid and has determinant 1, but it
         # is not two-bridge, so it must not be confused with the unknot
@@ -431,7 +435,7 @@ class TestCensus:
         rows = list(classify.census(300))
         assert len(routed) == 902
         for alpha, beta in routed:
-            assert beta == 1 or beta in classify._family_keys(alpha), (alpha, beta)
+            assert beta == 1 or beta in classify._axis_betas(alpha), (alpha, beta)
         routed = set(routed)
         monkeypatch.setattr(classify, "_report", real)
         skipped = 0
@@ -478,5 +482,5 @@ class TestCensus:
         assert row.notes == (classify.L17_5_NOTE,)
         assert row.family == classify.FamilyParams("one", 2, 3)
         assert row.witnesses[0].label == "flype-family(one,p=2,q=3)"
-        assert 5 in classify._family_keys(17)
+        assert 5 in classify._axis_betas(17)
         assert {5, 7} <= classify._orbit(twobridge.Fraction(17, 5))

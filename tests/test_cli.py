@@ -355,6 +355,7 @@ class TestArgvGolden:
         (("verify", "--suite", "orientation", "--max", "10"), 0,
          "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
         (("verify", "--max", "-1"), 1, EMPTY),
+        (("verify", "--max", "abc"), 1, EMPTY),
         (("verify", "--suite", "conjugacy", "--max", "3"), 1, EMPTY),
         (("verify", "--suite", "nope"), 1, EMPTY),
         ((), 1, EMPTY),

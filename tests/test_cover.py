@@ -19,6 +19,10 @@ class TestBurau:
     def test_braid_relation(self):
         assert cover.burau_matrix((1, 2, 1)) == cover.burau_matrix((2, 1, 2))
 
+    def test_bad_letter_is_named(self):
+        with pytest.raises(ValueError, match="invalid braid letter 5"):
+            cover.burau_matrix((5,))
+
     @given(words, words)
     def test_homomorphism(self, w1, w2):
         product = cover.burau_matrix(w1).mul(cover.burau_matrix(w2))

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from gofknots import classify, cli, twobridge, verify
+from gofknots import braid, classify, cli, cover, twobridge, verify
 
 
 class TestSuitesPassAtReducedBounds:
@@ -36,7 +36,7 @@ class TestViolationRecords:
     def test_caught_family_hit_prints_as_json(self, monkeypatch, capsys):
         # a fault the counts oracle catches carries a FamilyParams as actual:
         # 3 divides 2*11 - 1 but lies in the orbit of (11,3), not of (11,2)
-        real_keys, real_orbit = classify._family_keys, classify._orbit
+        real_keys, real_orbit = classify._axis_betas, classify._orbit
 
         def extra_key(alpha):
             keys = real_keys(alpha)
@@ -50,7 +50,7 @@ class TestViolationRecords:
                 members.add(3)
             return members
 
-        monkeypatch.setattr(classify, "_family_keys", extra_key)
+        monkeypatch.setattr(classify, "_axis_betas", extra_key)
         monkeypatch.setattr(classify, "_orbit", extra_member)
         assert cli.run(["verify", "--suite", "counts", "--max", "12"]) == 1
         doc = json.loads(capsys.readouterr().out)
@@ -169,7 +169,7 @@ class TestCountsOracle:
     def test_family_set_equals_orbit_scan(self, monkeypatch):
         # the oracle is built without the library's family code
         with monkeypatch.context() as m:
-            for module, name in ((classify, "family_hits"), (classify, "_family_keys"),
+            for module, name in ((classify, "family_hits"), (classify, "_axis_betas"),
                                  (classify, "_orbit"), (classify, "family_membership"),
                                  (classify, "_canonical_betas"), (twobridge, "orbit")):
                 m.setattr(module, name, None)
@@ -193,7 +193,7 @@ class TestCountsOracle:
         assert raw == defined
 
     def test_reads_no_library_family_code_outside_the_census(self, monkeypatch):
-        # census_by_alpha itself needs _family_keys, _orbit, family_hits and the sieve
+        # census_by_alpha itself needs _axis_betas, _orbit, family_hits and the sieve
         monkeypatch.setattr(classify, "family_membership", None)
         monkeypatch.setattr(twobridge, "orbit", None)
         assert verify.verify_counts(200) == []
@@ -276,7 +276,7 @@ class TestCountsMutations:
 
     def test_dropped_member_key(self, monkeypatch):
         # (11,3) is the family fraction of 3 | 2*11 - 1; its report goes
-        real = classify._family_keys
+        real = classify._axis_betas
 
         def keys(alpha):
             found = real(alpha)
@@ -284,7 +284,7 @@ class TestCountsMutations:
                 found.remove(3)
             return found
 
-        monkeypatch.setattr(classify, "_family_keys", keys)
+        monkeypatch.setattr(classify, "_axis_betas", keys)
         assert verify.verify_counts(200) != []
 
     def test_report_fraction_differs_from_key(self, monkeypatch):
@@ -316,6 +316,122 @@ class TestCountsMutations:
         monkeypatch.setattr(classify, "census_by_alpha", census_by_alpha)
         assert verify.verify_counts(200) != []
 
+    def test_beta_other_than_1_at_alpha_below_2(self, monkeypatch):
+        real = classify._canonical_betas
+        monkeypatch.setattr(classify, "_canonical_betas", lambda alpha: iter((2,)) if alpha == 1 else real(alpha))
+        violations = verify.verify_counts(20)
+        assert ("counts", {"alpha": 1, "beta": 2}, "beta is the least member of its orbit", 1) in violations
+
+    def test_non_unit_beta(self, monkeypatch):
+        # 3 divides 9: the stream 1, 2 of alpha 9 gains a beta with no inverse
+        real = classify._canonical_betas
+        monkeypatch.setattr(
+            classify, "_canonical_betas", lambda alpha: iter((1, 2, 3)) if alpha == 9 else real(alpha)
+        )
+        violations = verify.verify_counts(20)
+        assert violations == [("counts", {"alpha": 9, "beta": 3}, "gcd(alpha, beta) == 1", 3)]
+
+    def test_count_above_3(self, monkeypatch):
+        real = classify._report
+
+        def report(f):
+            found = real(f)
+            if f.pair == (4, 1):
+                return found._replace(witnesses=found.witnesses + found.witnesses[:1])
+            return found
+
+        monkeypatch.setattr(classify, "_report", report)
+        violations = verify.verify_counts(20)
+        assert ("counts", {"alpha": 4, "beta": 1}, "count <= 3", 4) in violations
+
+    def test_family_fraction_on_the_torus_locus(self, monkeypatch):
+        # the oracle gains (7, 6), whose orbit minimum is 1: the library's
+        # torus row (7,1) then meets a family fraction
+        real = verify._family_solutions
+
+        def solutions(max_alpha):
+            yield from real(max_alpha)
+            yield 7, 6
+
+        monkeypatch.setattr(verify, "_family_solutions", solutions)
+        violations = verify.verify_counts(20)
+        assert violations == [("counts", {"alpha": 7, "beta": 1}, "no family fraction on the torus locus", (7, 1))]
+
+    def test_alphas_ending_early(self, monkeypatch):
+        real = classify.census_by_alpha
+        monkeypatch.setattr(
+            classify, "census_by_alpha", lambda max_alpha: (row for row in real(max_alpha) if row[0] <= 15)
+        )
+        violations = verify.verify_counts(20)
+        assert ("counts", {"alpha": 16}, "alphas up to 20", 15) in violations
+
+
+class TestBurauMutations:
+    """Faults that verify_burau_witnesses must report."""
+
+    def test_family_witness(self, monkeypatch):
+        # the witness, and the flype partner read off it, gain a letter
+        real = classify.family_witness
+        bad = classify.FamilyParams(classify.FAMILY_ONE, 2, 3)
+
+        def witness(params):
+            found = real(params)
+            return ((1, params.p + 1),) + found[1:] if params == bad else found
+
+        monkeypatch.setattr(classify, "family_witness", witness)
+        violations = verify.verify_burau_witnesses(4, max_torus=0, twist_trials=0)
+        assert [(v.suite, v.params, v.expected) for v in violations] == [
+            ("burau", {"family": "one", "p": 2, "q": 3}, 17)
+        ] * 2
+        assert all(v.actual != 17 for v in violations)
+
+    def test_torus(self, monkeypatch):
+        real = cover.closure_determinant
+        monkeypatch.setattr(
+            cover, "closure_determinant", lambda word: 6 if tuple(word) == (1,) * 5 + (2,) else real(word)
+        )
+        violations = verify.verify_burau_witnesses(0, max_torus=8, twist_trials=0)
+        assert violations == [("burau", {"torus_k": 5, "tail": 2}, 5, 6)]
+
+    def test_twist(self, monkeypatch):
+        # the "twisted" word is a torus braid whose determinant is one more
+        monkeypatch.setattr(
+            braid, "surgery_twist", lambda word, n: (1,) * (cover.closure_determinant(word) + 1) + (2,)
+        )
+        violations = verify.verify_burau_witnesses(0, max_torus=0, twist_trials=5)
+        assert [v.params["trial"] for v in violations] == list(range(5))
+        assert all(v.actual == v.expected + 1 for v in violations)
+
+
+class TestConjugacyMutations:
+    """Faults that verify_conjugacy_suite must report."""
+
+    def test_surgery_lands_outside_the_mirror_class(self, monkeypatch):
+        real = braid.is_conjugate
+        target = (-1, -1, -1, -1, -1, -2)
+        monkeypatch.setattr(braid, "is_conjugate", lambda w1, w2: w2 != target and real(w1, w2))
+        violations = verify.verify_conjugacy_suite(soundness_trials=0)
+        assert violations == [("conjugacy", {"pair": "+1 surgery on sigma_1^5 sigma_2"}, True, False)]
+
+    def test_torus_exponent_sums(self, monkeypatch):
+        monkeypatch.setattr(braid, "exponent_sum", lambda word: 0)
+        violations = verify.verify_conjugacy_suite(soundness_trials=0)
+        assert violations == [
+            ("conjugacy", {"torus_k": k}, "exponent sums differ", "equal") for k in range(2, 11)
+        ]
+
+    def test_torus_pairs_conjugate(self, monkeypatch):
+        monkeypatch.setattr(braid, "is_conjugate", lambda w1, w2: True)
+        violations = verify.verify_conjugacy_suite(soundness_trials=3)
+        assert violations == [("conjugacy", {"torus_k": k}, False, True) for k in range(2, 11)]
+
+    def test_soundness(self, monkeypatch):
+        # the "conjugate" gains a letter, so its exponent sum differs
+        monkeypatch.setattr(braid, "conjugate_by", lambda word, u: tuple(word) + (1,))
+        violations = verify.verify_conjugacy_suite(soundness_trials=4)
+        assert [v.params["trial"] for v in violations] == list(range(4))
+        assert all(v.expected is True and v.actual is False for v in violations)
+
 
 class TestOrientationMutations:
     """Library faults that verify_orientation_uniqueness must report."""
@@ -345,7 +461,7 @@ class TestOrientationMutations:
         assert [v.params for v in violations] == [{"alpha": 16, "beta": 3}]
 
     def test_built_without_the_library_family_code(self, monkeypatch):
-        names = ("family_membership", "family_hits", "_family_keys", "_orbit",
+        names = ("family_membership", "family_hits", "_axis_betas", "_orbit",
                  "canonical_fractions", "_canonical_betas")
         for name in names:
             monkeypatch.setattr(classify, name, None)
