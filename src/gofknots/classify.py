@@ -32,12 +32,12 @@ canonical betas of the odd divisors of 2*alpha +- 1) reach _report: by the
 tree above every other fraction has count 0.
 
 The closure of a word is identified by its conjugacy invariant and its
-mirror's (exponent sum and SL2(Z) class of the Burau image M), which give
-its determinant alpha = |det(M - I)| = |2 - trace M|.  They are compared
-with the witnesses and flype partners of the fractions of the axis betas of
-alpha.  By the tree above, no other fraction of determinant alpha
-has a 3-braid.  The invariants of the candidates come from their syllables
-(braid.syllable_class), one step per syllable.
+mirror's (exponent sum e and SL2(Z) class of the Burau image M), which give
+its determinant alpha = |det(M - I)| = |2 - trace M|.  A family witness has
+e = p + q + 1 and trace 2 - alpha (family one) or e = p - q and trace
+2 + alpha (family two), so (p, q) is solved from e with no factoring.  The
+word is compared with the 3-braids of (alpha, 1) and of that fraction only,
+whose invariants come from their syllables (braid.syllable_class).
 """
 
 from __future__ import annotations
@@ -288,7 +288,8 @@ def _canonical_betas(alpha: int) -> Iterator[int]:
 
 def _axis_betas(alpha: int) -> set[int]:
     """The only canonical betas of alpha with a 3-braid: 1 and the family
-    keys, the canonical betas of the family members of alpha.
+    keys, the canonical betas of the family members of alpha.  The census
+    reads it; identify_closure solves for its key instead.
 
     d = 2q + 1 is a member when it divides n = 2*alpha + 1 or 2*alpha - 1
     with a cofactor e = 2p + 1 >= 3 (see family_hits).  Both are below alpha,
@@ -353,21 +354,30 @@ def _candidates(f: Fraction) -> Iterator[Syllables]:
 def identify_closure(word: Word) -> Optional[ClosureId]:
     """Recognise the closure of a word as a two-bridge link, up to mirror.
 
-    Walks the fractions of the axis betas of alpha = |det(M - I)| =
-    |2 - trace M| (the trace is in the word's conjugacy class) in
-    increasing beta: the only fractions with a 3-braid.  Returns the first
-    of their _candidates whose conjugacy class (braid.syllable_class) is
-    that of the word or of its mirror.  None
+    The word's conjugacy class holds alpha = |det(M - I)| = |2 - trace M|
+    and the exponent sum e.  A family-one (trace < 2, sign 1) or family-two
+    (sign -1) class has n = 2*alpha + sign = (2p + 1)(2q + 1) and
+    (2p + 1) + sign*(2q + 1) = 2e, so for s = +-e (a mirror flips e)
+    v = sign*(s - isqrt(s^2 - sign*n)) is 2q + 1 or 2p + 1 when it divides n.
+    Walks (alpha, 1) and the fractions of those v in increasing beta, and
+    returns the first of their _candidates whose class
+    (braid.syllable_class) is that of the word or of its mirror.  None
     means no witness realises the closure (it need not be two-bridge).
-    The candidates stay syllables, so the work beyond reading the word is
-    the trial division of 2*alpha +- 1.
     """
     word = braid.check_word(word)
     key = braid.conjugacy_class(word)
-    alpha = abs(2 - key[1])  # det(M - I) = 2 - trace M in SL2(Z)
+    e, trace = key[:2]
+    alpha = abs(2 - trace)  # det(M - I) = 2 - trace M in SL2(Z)
     targets = ((False, key), (True, braid.conjugacy_class(braid.mirror(word))))
-    for beta in sorted(_axis_betas(alpha)):
-        f = twobridge._trusted(alpha, beta)
+    sign = 1 if trace < 2 else -1
+    n = 2 * alpha + sign
+    fractions = {twobridge.canonical(alpha, 1)}
+    for s in (e, -e):
+        if s * s >= sign * n:
+            v = sign * (s - isqrt(s * s - sign * n))
+            if v >= 3 and n % v == 0 and n // v >= 3:
+                fractions.add(twobridge.canonical(alpha, v))
+    for f in sorted(fractions):
         for candidate in _candidates(f):
             key = braid.syllable_class(candidate)
             for mirrored, target in targets:

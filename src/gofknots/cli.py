@@ -6,7 +6,7 @@ yields byte-identical output.  Exit codes: 0 on success, 1 on invalid input
 (the message names the offending token) or when ``gof``, ``classify``,
 ``braid twist`` or ``braid identify`` would print a word past
 MAX_WORD_LETTERS letters, 2 when ``braid identify`` does not recognise the
-closure.
+closure; only then does it compute the closure determinant it prints.
 
 One argparse tree parses every command.  Braid words are trailing arguments,
 e.g. ``braid nf 1 1 -2``; ``braid conj`` separates its two words with ``--``.
@@ -28,10 +28,8 @@ from . import braid, classify, cover, twobridge, verify
 # byte, so with it as the only prefix character every token is data
 _RAW_TOKENS = {"prefix_chars": "\0", "add_help": False}
 
-# longest word `gof`, `classify` and `braid twist` print (each twist count
-# step adds 12 letters), and largest closure determinant `braid identify`
-# accepts: its torus witnesses are that long, and identify_closure
-# trial-divides 2*det +- 1, whose cost grows as sqrt(det)
+# longest word `gof`, `classify`, `braid twist` and `braid identify` print
+# (each twist count step adds 12 letters)
 MAX_WORD_LETTERS = 1_000_000
 
 
@@ -39,14 +37,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+def _check_letters(syllables: braid.Syllables, what: str) -> None:
+    letters = sum(abs(e) for _, e in syllables)
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"{what} has {letters} letters, above the {MAX_WORD_LETTERS}-letter limit")
+
+
 def _report_json(report: classify.AxisReport, alpha: int, beta: int, count_key: str) -> dict:
     for w in report.witnesses:
-        letters = sum(abs(e) for _, e in w.syllables)
-        if letters > MAX_WORD_LETTERS:
-            raise ValueError(
-                f"the {w.label} witness of b({alpha},{beta}) has {letters} letters, "
-                f"above the {MAX_WORD_LETTERS}-letter limit"
-            )
+        _check_letters(w.syllables, f"the {w.label} witness of b({alpha},{beta})")
     out = {
         "alpha": alpha,
         "beta": beta,
@@ -171,15 +170,13 @@ def _cmd_homology(args) -> None:
 
 def _cmd_identify(args) -> int | None:
     word = _word(args.tokens)
-    det = cover.closure_determinant(word)
-    if det > MAX_WORD_LETTERS:
-        raise ValueError(f"closure determinant {det} is above the {MAX_WORD_LETTERS}-letter witness limit")
     result = classify.identify_closure(word)
     if result is None:
-        _emit({"unrecognized": True, "determinant": det})
+        _emit({"unrecognized": True, "determinant": cover.closure_determinant(word)})
         return 2
-    f, w = result.fraction, result.matched_witness
-    _emit({"fraction": list(f), "mirrored": result.mirrored, "matched_witness": list(w)})
+    f = result.fraction
+    _check_letters(result.matched_syllables, f"the matched witness of b({f.alpha},{f.beta})")
+    _emit({"fraction": list(f), "mirrored": result.mirrored, "matched_witness": list(result.matched_witness)})
     return None
 
 

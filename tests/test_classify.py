@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -277,16 +278,27 @@ class TestIdentifyClosure:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_huge_determinant_miss_is_immediate(self):
+        # (p, q) is solved from the class key, so nothing grows with the
+        # determinant; trial division of 2*det +- 1 would never finish
+        word = (1, -2) * 200
+        assert cover.closure_determinant(word).bit_length() == 278
+        start = time.perf_counter()
+        assert classify.identify_closure(word) is None
+        assert time.perf_counter() - start < 0.1
+
 
 class TestIdentifyClosureWithoutScan(TestIdentifyClosure):
     # every TestIdentifyClosure case again, with the per-determinant scan
-    # of canonical fractions and orbits made to fail
+    # of canonical fractions and orbits, and the factoring of 2*alpha +- 1
+    # into axis betas, made to fail
     @pytest.fixture(autouse=True)
     def no_scan(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("identify_closure scanned fractions or orbits")
+            raise AssertionError("identify_closure scanned fractions or orbits, or factored")
 
         monkeypatch.setattr(classify, "canonical_fractions", refuse)
+        monkeypatch.setattr(classify, "_axis_betas", refuse)
         monkeypatch.setattr(twobridge, "orbit", refuse)
 
 
@@ -333,6 +345,83 @@ class TestIdentifyGolden:
         assert sum(a is not None for a in answers) == 3976
         digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
         assert digest == self.GOLDEN
+
+
+class TestClosedFormKeys:
+    # identify_closure solves for (p, q) from the exponent sum and trace of
+    # the word's class; these are the values of those two it relies on
+    def test_family_witness_and_partner(self):
+        for family in (classify.FAMILY_ONE, classify.FAMILY_TWO):
+            for p in range(1, 61):
+                for q in range(1, 61):
+                    fp = classify.FamilyParams(family, p, q)
+                    if family == classify.FAMILY_ONE:
+                        want = (p + q + 1, 2 - fp.alpha)
+                    else:
+                        want = (p - q, 2 + fp.alpha)
+                    for syllables in (classify.family_witness(fp), classify.flype_partner(fp)):
+                        assert B.syllable_class(syllables)[:2] == want, (fp, syllables)
+
+    def test_torus(self):
+        for k in range(-60, 61):
+            for sign in (1, -1):
+                assert B.syllable_class(((1, k), (2, sign)))[:2] == (k + sign, 2 - sign * k), (k, sign)
+
+    @given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=40))
+    @settings(max_examples=200)
+    def test_mirror_negates_the_exponent_sum_and_keeps_the_trace(self, letters):
+        e, trace = B.conjugacy_class(tuple(letters))[:2]
+        assert B.conjugacy_class(B.mirror(tuple(letters)))[:2] == (-e, trace)
+
+
+def _identify_by_axis_betas(word) -> classify.ClosureId | None:
+    """identify_closure as it was before it solved for the family: walk every
+    fraction of _axis_betas(alpha), which trial-divides 2*alpha +- 1, in
+    increasing beta, and return the first candidate in the class of the word
+    or of its mirror."""
+    key = B.conjugacy_class(word)
+    alpha = abs(2 - key[1])
+    targets = ((False, key), (True, B.conjugacy_class(B.mirror(word))))
+    for beta in sorted(classify._axis_betas(alpha)):
+        f = twobridge._trusted(alpha, beta)
+        for candidate in classify._candidates(f):
+            candidate_key = B.syllable_class(candidate)
+            for mirrored, target in targets:
+                if candidate_key == target:
+                    return classify.ClosureId(f, mirrored, candidate)
+    return None
+
+
+class TestIdentifyAgainstAxisBetas:
+    def test_seeded_words(self):
+        # family witnesses, flype partners and swapped witnesses with
+        # p, q <= 200, torus braids with k <= 500, each conjugated by a short
+        # random word, and random words; half of each kind mirrored
+        rng = random.Random(23)
+        recognised = 0
+        for i in range(500):
+            kind = ("family", "partner", "swap", "torus", "random")[i % 5]
+            p, q = rng.randint(1, 200), rng.randint(1, 200)
+            if kind == "swap":
+                p, q = q, p
+            q_block = (1,) * q if rng.random() < 0.5 else (-1,) * (q + 1)
+            if kind == "random":
+                core = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 20)))
+            elif kind == "torus":
+                core = (1,) * rng.randint(2, 500) + (rng.choice((2, -2)),)
+            elif kind == "partner":
+                core = (1,) * p + (-2,) + q_block + (2, 2)
+            else:
+                core = (1,) * p + (2, 2) + q_block + (-2,)
+            u = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6)))
+            word = u + core + B.invert(u)
+            if (i // 5) % 2:
+                word = B.mirror(word)
+            cid = classify.identify_closure(word)
+            assert cid == _identify_by_axis_betas(word), (kind, word)
+            assert cid is not None or kind == "random", (kind, word)
+            recognised += cid is not None
+        assert recognised >= 400
 
 
 class TestCanonicalFractions:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gofknots import cli, verify
+from gofknots import cli, cover, verify
 from gofknots.cli import run
 
 
@@ -165,24 +165,44 @@ class TestBraidCommands:
             assert repr(n) in capsys.readouterr().err
 
     def test_identify_large_determinant_rejected_at_once(self, capsys):
-        # the closure of (sigma_1 sigma_2^-1)^20 has determinant 228826125,
-        # whose torus witnesses would be as long
+        # the closure of (sigma_1 sigma_2^-1)^20 has determinant 228826125;
+        # the determinant is not limited, and this miss is answered at once:
+        # identification solves for the family instead of factoring
         start = time.perf_counter()
-        assert run(["braid", "identify", *["1", "-2"] * 20]) == 1
+        assert run(["braid", "identify", *["1", "-2"] * 20]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
-        assert captured.out == "" and "228826125" in captured.err
+        assert json.loads(captured.out) == {"unrecognized": True, "determinant": 228826125}
+        assert captured.err == ""
 
     def test_identify_determinant_limit_boundary(self, capsys, monkeypatch):
-        # sigma_1^-5 sigma_2^-1 closes up with determinant 5
+        # the letter limit applies to the printed witness: sigma_1^-5
+        # sigma_2^-1 matches the 6-letter sigma_1^5 sigma_2
         word = ["-1", "-1", "-1", "-1", "-1", "-2"]
-        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 5)
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 6)
         code, doc = run_json(capsys, ["braid", "identify", *word])
         assert code == 0 and doc["fraction"] == [5, 1]
-        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 4)
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 5)
         assert run(["braid", "identify", *word]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "determinant 5" in captured.err
+        assert captured.out == "" and "6 letters" in captured.err
+
+    @pytest.mark.parametrize(
+        "word, fraction",
+        [
+            (["-1", "-1", "-1", "-1", "-1", "-2"], [5, 1]),
+            (["1", "1", "1", "1", "1", "1", "2", "2", "1", "-2"], [19, 3]),
+            # determinant 2002000 is above MAX_WORD_LETTERS; the witness has 2003 letters
+            (["1"] * 1000 + ["2", "2"] + ["1"] * 1000 + ["-2"], [2002000, 2001]),
+        ],
+    )
+    def test_recognised_identify_computes_no_determinant(self, capsys, monkeypatch, word, fraction):
+        def refuse(word):
+            raise AssertionError("braid identify made a Burau pass of its own")
+
+        monkeypatch.setattr(cover, "closure_determinant", refuse)
+        code, doc = run_json(capsys, ["braid", "identify", *word])
+        assert code == 0 and doc["fraction"] == fraction
 
     def test_parse_error_exit_1(self, capsys):
         assert run(["braid", "nf", "3"]) == 1
@@ -273,6 +293,8 @@ class TestArgvGolden:
     # dash-leading Conway digit; one argparse tree must give the same.  The
     # two argv whose witnesses pass MAX_WORD_LETTERS are newer: that parser
     # printed the 10^7-letter words and ran out of memory on the 10^15 ones.
+    # `braid identify` of (1 -2)x20 is newer too: it exited 1 while a
+    # closure determinant above MAX_WORD_LETTERS was refused.
     # The two argv with a second `--` are newer too, and so is `verify
     # --suite conjugacy --max 3`: that suite takes no bound, and the old
     # dispatch ran it and ignored the bound
@@ -394,7 +416,8 @@ class TestArgvGolden:
          "a4d3a7937b859dfe272d8cb3502eaa350a5aa0332eaf22cc640042f9f36fa992"),
         (("braid", "identify", "1", "1", "1", "1", "1", "1", "2", "2", "1", "-2"), 0,
          "1ef611df8387726a4381425f83fbeb0fb1ce8b66491366644162a7ebbaebb438"),
-        (("braid", "identify", *["1", "-2"] * 20), 1, EMPTY),
+        (("braid", "identify", *["1", "-2"] * 20), 2,
+         "5d3ce10b622c737ecf8624bef2c614da6b5e79d14c8bc2f58ddce2d9b2c2e050"),
         (("braid", "identify"), 2,
          "a4d3a7937b859dfe272d8cb3502eaa350a5aa0332eaf22cc640042f9f36fa992"),
         (("braid", "conj", "1", "--", "2"), 0,
