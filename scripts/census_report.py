@@ -36,13 +36,16 @@ def main() -> None:
     histogram = Counter()
     triples = []
     families = []
-    for report in classify.census(args.max):
-        pair = report.fraction.pair
-        histogram[report.count] += 1
-        if report.count == 3:
-            triples.append(pair)
-        if report.family is not None and report.count == 1:
-            families.append((pair, report.family, report.witnesses[0].syllables))
+    for alpha, betas, reports in classify.census_by_alpha(args.max):
+        # a beta with no report has count 0
+        for beta in betas:
+            report = reports.get(beta)
+            count = 0 if report is None else report.count
+            histogram[count] += 1
+            if count == 3:
+                triples.append((alpha, beta))
+            if count == 1 and report.family is not None:
+                families.append(((alpha, beta), report.family, report.witnesses[0].syllables))
     elapsed = time.perf_counter() - t0
 
     total = sum(histogram.values())

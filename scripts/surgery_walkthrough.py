@@ -18,7 +18,7 @@ def describe(word) -> None:
     print(f"  exponent sum:  {braid.exponent_sum(word)}")
     print(f"  normal form:   delta^{nf.delta_power} * {list(nf.factor_words())}")
     print(f"  determinant:   {cover.closure_determinant(word)}")
-    print(f"  homology:      {cover.dbc_homology(word).invariant_factors}")
+    print(f"  homology:      {cover.dbc_homology(word)}")
     if cid is None:
         print("  closure:       unrecognized")
     else:
@@ -37,11 +37,15 @@ def main() -> None:
         print(f"\nafter inserting {2 * abs(n)} full {'left' if n > 0 else 'right'}-handed twists (n = {n}):")
         describe(word)
 
+    # the lifted solid torus double covers the axis neighbourhood, so a
+    # reduced slope p/q doubles: odd q lifts to one curve of slope 2p/q, even
+    # q to two parallel curves of slope p/(q/2)
     print("\nslope lifts along the axis:")
     for p, q in ((1, 1), (1, 2), (3, 2), (0, 1)):
-        spec = cover.lift_slope(p, q)
-        curves = "curve" if spec.curve_count == 1 else "parallel curves"
-        print(f"  {p}/{q} upstairs: {spec.curve_count} {curves} of slope {spec.numerator}/{spec.denominator}")
+        if q % 2:
+            print(f"  {p}/{q} upstairs: 1 curve of slope {2 * p}/{q}")
+        else:
+            print(f"  {p}/{q} upstairs: 2 parallel curves of slope {p}/{q // 2}")
 
 
 if __name__ == "__main__":

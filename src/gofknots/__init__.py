@@ -15,7 +15,6 @@ from .braid import (
     NormalForm,
     Syllables,
     Word,
-    concat,
     conjugacy_class,
     conjugate_by,
     expand,
@@ -24,7 +23,6 @@ from .braid import (
     format_word,
     invert,
     is_conjugate,
-    is_equal,
     mirror,
     normal_form,
     parse_word,
@@ -45,15 +43,11 @@ from .classify import (
     identify_closure,
 )
 from .cover import (
-    HomologyClass,
-    InvalidSlopeError,
     Matrix2,
-    SlopeSpec,
     burau_matrix,
     burau_syllables,
     closure_determinant,
     dbc_homology,
-    lift_slope,
 )
 from .twobridge import (
     DegenerateContinuedFractionError,

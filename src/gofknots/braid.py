@@ -166,10 +166,6 @@ def invert(word: Word) -> Word:
     return tuple(-k for k in reversed(word))
 
 
-def concat(w1: Word, w2: Word) -> Word:
-    return tuple(w1) + tuple(w2)
-
-
 def conjugate_by(word: Word, u: Word) -> Word:
     """u * word * u^-1."""
     return tuple(u) + tuple(word) + invert(u)
@@ -196,10 +192,6 @@ class NormalForm(NamedTuple):
     delta_power: int
     factors: tuple[int, ...]
 
-    @property
-    def exponent_sum(self) -> int:
-        return 3 * self.delta_power + sum(len(SIMPLE_WORDS[f]) for f in self.factors)
-
     def factor_words(self) -> tuple[Word, ...]:
         return tuple(SIMPLE_WORDS[f] for f in self.factors)
 
@@ -211,10 +203,6 @@ class NormalForm(NamedTuple):
         for f in self.factors:
             out.extend(SIMPLE_WORDS[f])
         return tuple(out)
-
-    def tau(self) -> "NormalForm":
-        """Conjugate by Delta: swap sigma_1 <-> sigma_2 in every factor."""
-        return NormalForm(self.delta_power, tuple(_TAU[f] for f in self.factors))
 
 
 def normal_form(word: Word) -> NormalForm:
@@ -257,11 +245,6 @@ def normal_form(word: Word) -> NormalForm:
     if flip:
         factors = [_TAU[f] for f in factors]
     return NormalForm(delta, tuple(factors))
-
-
-def is_equal(w1: Word, w2: Word) -> bool:
-    """Word problem: equal in the group iff the normal forms coincide."""
-    return normal_form(w1) == normal_form(w2)
 
 
 # ---------------------------------------------------------------------------

@@ -322,20 +322,6 @@ def census_by_alpha(max_alpha: int) -> Iterator[tuple[int, Iterable[int], dict[i
         yield alpha, _canonical_betas(alpha), reports
 
 
-def census(max_alpha: int) -> Iterator[AxisReport]:
-    """The report of every canonical fraction with alpha <= max_alpha, in (alpha, beta) order.
-
-    The rows of census_by_alpha, one alpha after another; a beta with no
-    report there gets AxisReport(f, ()).  Every row equals
-    axis_classes(alpha, beta).
-    """
-    trusted = twobridge._trusted
-    for alpha, betas, reports in census_by_alpha(max_alpha):
-        for beta in betas:
-            report = reports.get(beta)
-            yield AxisReport(trusted(alpha, beta), ()) if report is None else report
-
-
 def _candidates(f: Fraction) -> Iterator[Syllables]:
     """Every 3-braid representative of b(f), one syllable word per conjugacy class.
 

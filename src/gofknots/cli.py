@@ -165,7 +165,7 @@ def _cmd_det(args) -> None:
 
 
 def _cmd_homology(args) -> None:
-    _emit({"invariant_factors": list(cover.dbc_homology(_word(args.tokens)).invariant_factors)})
+    _emit({"invariant_factors": list(cover.dbc_homology(_word(args.tokens)))})
 
 
 def _cmd_identify(args) -> int | None:
@@ -247,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max",
         type=_non_negative_int,
         default=None,
-        help="bound of the selected suite, refused for conjugacy, which takes none; "
+        help=f"bound of the selected suite: at most {verify.MAX_CENSUS_ALPHA} for counts and orientation, "
+        "refused for conjugacy, which takes none; "
         "with --suite all, only the alpha bound of the counts and orientation suites",
     )
     p.set_defaults(func=_cmd_verify)

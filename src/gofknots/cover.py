@@ -23,35 +23,16 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 
-class InvalidSlopeError(ValueError):
-    """Slope numerator and denominator are not coprime."""
-
-
 class Matrix2(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def mul(self, other: "Matrix2") -> "Matrix2":
-        e, f, g, h = other
-        return Matrix2(
-            self.a * e + self.b * g,
-            self.a * f + self.b * h,
-            self.c * e + self.d * g,
-            self.c * f + self.d * h,
-        )
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     @property
     def trace(self) -> int:
         return self.a + self.d
 
-
-IDENTITY = Matrix2(1, 0, 0, 1)
 
 BURAU_GEN = {
     1: Matrix2(1, 1, 0, 1),
@@ -96,12 +77,6 @@ def closure_determinant(word: Iterable[int]) -> int:
     return abs((m.a - 1) * (m.d - 1) - m.b * m.c)
 
 
-class HomologyClass(NamedTuple):
-    """Invariant factors (d1, d2) with d1 | d2; 0 encodes an infinite factor."""
-
-    invariant_factors: tuple[int, int]
-
-
 def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     # determinantal divisors: d1 = gcd of entries, d1*d2 = |det|
     g = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
@@ -113,31 +88,8 @@ def _smith_2x2(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return (g, det // g)
 
 
-def dbc_homology(word: Iterable[int]) -> HomologyClass:
-    """First homology of the double cover branched over the closure."""
+def dbc_homology(word: Iterable[int]) -> tuple[int, int]:
+    """First homology of the double cover branched over the closure, as its
+    invariant factors (d1, d2) with d1 | d2; 0 encodes an infinite factor."""
     m = burau_matrix(word)
-    return HomologyClass(_smith_2x2(m.a - 1, m.b, m.c, m.d - 1))
-
-
-class SlopeSpec(NamedTuple):
-    """A lifted surgery slope: p/q upstairs, possibly two parallel curves."""
-
-    numerator: int
-    denominator: int
-    curve_count: int
-
-
-def lift_slope(p: int, q: int) -> SlopeSpec:
-    """Lift a slope p/q on the braid axis to the cover.
-
-    The lifted solid torus double covers the axis neighbourhood, so slopes
-    double: odd q lifts to one curve of slope 2p/q, even q to two parallel
-    curves of slope p/(q/2).
-    """
-    if q <= 0:
-        raise InvalidSlopeError(f"denominator must be positive, got {q}")
-    if gcd(abs(p), q) != 1:
-        raise InvalidSlopeError(f"slope {p}/{q} is not reduced")
-    if q % 2 == 1:
-        return SlopeSpec(2 * p, q, 1)
-    return SlopeSpec(p, q // 2, 2)
+    return _smith_2x2(m.a - 1, m.b, m.c, m.d - 1)

@@ -8,9 +8,11 @@ values so a failure can be re-checked by hand.
 The two census-scale suites, counts and orientation, take the braid-index-3
 families from one generator, _family_solutions, which runs forward over
 (p, q) and shares no code with classify's family search.  Counts reads the
-library's rows as plain ints (census_by_alpha); orientation reads the
-orientation classes of only the fractions that an admitting representative,
-1 or a family member, names.  Neither builds an object of its own per row.
+library's rows as plain ints (census_by_alpha), and its canonical round trip
+builds one Fraction per row; orientation reads the orientation classes of
+only the fractions that an admitting representative, 1 or a family member,
+names.  Both hold the family set of their bound, so run_suites refuses a
+bound above MAX_CENSUS_ALPHA for them.
 
 run_suites reads one table, _SUITES: each suite's name, how it runs under
 an optional bound, and whether --suite all passes --max on to it.
@@ -25,6 +27,10 @@ from typing import Iterator, NamedTuple
 from . import braid, classify, cover, twobridge
 
 DEFAULT_SEED = 59318
+
+# largest bound run_suites gives the census-scale suites, which hold the
+# family set of their bound in memory: 487 565 pairs at 10^5, 6.0 M at 10^6
+MAX_CENSUS_ALPHA = 100_000
 
 
 class VerifyBounds(NamedTuple):
@@ -118,8 +124,8 @@ def verify_counts(max_alpha: int = 5000) -> list[Violation]:
     alpha, and the orbit sizes of one alpha sum to phi(alpha): the orbits
     are classes, so distinct least members make them disjoint, and together
     they cover the units.  twobridge.canonical of each row's largest member
-    must give the row back.  The betas are plain ints: no object is built
-    for a count-0 row, and no rows or orbits are held.
+    must give the row back, so one Fraction is built per row, count-0 rows
+    included; the betas come as plain ints, and no rows or orbits are held.
     """
     violations: list[Violation] = []
     family = _family_fractions(max_alpha)
@@ -359,10 +365,10 @@ def verify_conjugacy_suite(
 
 
 # Each suite by name: how it runs, run(bound, bounds) with bound None for
-# its defaults, and where --max reaches it: "all" under --suite all too,
-# "alone" only when selected by name, None never (it takes no bound).  The
-# entries look their suite up at call time, so a suite replaced on the
-# module is the one that runs.
+# its defaults, and where --max reaches it: "all" under --suite all too (the
+# census-scale suites), "alone" only when selected by name, None never (it
+# takes no bound).  The entries look their suite up at call time, so a suite
+# replaced on the module is the one that runs.
 _SUITES = {
     "counts": (lambda n, d: verify_counts(d.counts_alpha if n is None else n), "all"),
     "orientation": (
@@ -393,15 +399,19 @@ def run_suites(
     ValueError.  For "all" it replaces only the alpha bounds of the census
     suites, counts and orientation: the (p, q)-grid suites keep their
     defaults, since burau grows as the cube of its bound.  None keeps every
-    default; 0 is a bound like any other.
+    default; 0 is a bound like any other.  A bound above MAX_CENSUS_ALPHA
+    that reaches counts or orientation is a ValueError too.
     """
     if suite != "all":
         if suite not in _SUITES:
             raise ValueError(f"unknown verify suite {suite!r}")
         if max_bound is not None and _SUITES[suite][1] is None:
             raise ValueError(f"the {suite} suite takes no bound, got {max_bound}")
+    names = SUITES if suite == "all" else (suite,)
+    if max_bound is not None and max_bound > MAX_CENSUS_ALPHA and any(_SUITES[n][1] == "all" for n in names):
+        raise ValueError(f"the counts and orientation suites take a bound up to {MAX_CENSUS_ALPHA}, got {max_bound}")
     violations: list[Violation] = []
-    for name in SUITES if suite == "all" else (suite,):
+    for name in names:
         run, reach = _SUITES[name]
         violations += run(max_bound if reach == "all" or name == suite else None, bounds)
     return violations

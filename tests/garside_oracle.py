@@ -189,6 +189,10 @@ def sup(v: NormalForm) -> int:
     return v.delta_power + len(v.factors)
 
 
+def _exponent_sum(v: NormalForm) -> int:
+    return 3 * v.delta_power + sum(len(SIMPLE_WORDS[f]) for f in v.factors)
+
+
 def cycle(v: NormalForm) -> NormalForm:
     """Cycling: conjugate by tau^-d(f_1), giving Delta^d f_2 .. f_l tau^-d(f_1).
 
@@ -276,7 +280,7 @@ def is_conjugate(w1: Word, w2: Word) -> bool:
     nf1, nf2 = normal_form(w1), normal_form(w2)
     if nf1 == nf2:
         return True
-    if nf1.exponent_sum != nf2.exponent_sum:
+    if _exponent_sum(nf1) != _exponent_sum(nf2):
         return False
     target = _summit_representative(nf2)
     return target in _summit_closure(_summit_representative(nf1))

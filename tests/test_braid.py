@@ -114,17 +114,14 @@ class TestWordOps:
         assert B.mirror((1, 1, 1, 1, 1, 2)) == (-1, -1, -1, -1, -1, -2)
         assert B.invert((1, 2)) == (-2, -1)
         assert B.reverse((1, 2, -1)) == (-1, 2, 1)
-        assert B.concat((1,), (2,)) == (1, 2)
 
     @given(words)
     def test_invert_is_group_inverse(self, w):
-        assert B.normal_form(B.concat(w, B.invert(w))) == B.NormalForm(0, ())
+        assert B.normal_form(w + B.invert(w)) == B.NormalForm(0, ())
 
     @given(words, words)
     def test_mirror_is_homomorphism(self, w1, w2):
-        assert B.normal_form(B.mirror(B.concat(w1, w2))) == B.normal_form(
-            B.concat(B.mirror(w1), B.mirror(w2))
-        )
+        assert B.normal_form(B.mirror(w1 + w2)) == B.normal_form(B.mirror(w1) + B.mirror(w2))
 
 
 class TestNormalForm:
@@ -134,10 +131,10 @@ class TestNormalForm:
         assert nf.delta_power == -1 and nf.factor_words() == ((2, 1),)
         assert B.normal_form((1, -1)) == B.NormalForm(0, ())
         assert B.normal_form(B.FULL_TWIST) == B.NormalForm(2, ())
-        assert B.is_equal((1, 2) * 3, B.FULL_TWIST)
+        assert B.normal_form((1, 2) * 3) == B.normal_form(B.FULL_TWIST)
 
     def test_full_twist_is_central(self):
-        assert B.is_equal(B.FULL_TWIST + (1,), (1,) + B.FULL_TWIST)
+        assert B.normal_form(B.FULL_TWIST + (1,)) == B.normal_form((1,) + B.FULL_TWIST)
 
     def test_braid_relation_conjugation(self):
         assert B.normal_form(B.conjugate_by((1,), (1, 2))) == B.normal_form((2,))
@@ -156,7 +153,7 @@ class TestNormalForm:
 
     @given(words)
     def test_exponent_sum_reconstruction(self, w):
-        assert B.normal_form(w).exponent_sum == B.exponent_sum(w)
+        assert B.exponent_sum(B.normal_form(w).to_word()) == B.exponent_sum(w)
 
     @given(words, st.data())
     def test_invariant_under_rewrites(self, w, data):
@@ -171,7 +168,8 @@ class TestNormalForm:
     @given(words)
     def test_delta_conjugation_swaps_generators(self, w):
         conjugated = B.normal_form(B.conjugate_by(w, B.HALF_TWIST))
-        assert conjugated == B.normal_form(w).tau()
+        swapped = tuple(3 - k if k > 0 else -3 - k for k in w)
+        assert conjugated == B.normal_form(swapped)
 
     @given(words)
     def test_to_word_roundtrip(self, w):
@@ -180,7 +178,7 @@ class TestNormalForm:
 
     @given(words, words)
     def test_nf_mul_matches_concatenation(self, w1, w2):
-        assert O.nf_mul(B.normal_form(w1), B.normal_form(w2)) == B.normal_form(B.concat(w1, w2))
+        assert O.nf_mul(B.normal_form(w1), B.normal_form(w2)) == B.normal_form(w1 + w2)
 
     def test_nf_mul_exhaustive_small(self):
         follow = {
@@ -230,10 +228,10 @@ class TestCyclingDecycling:
         c = O.cycle(v)
         head = v.factors[0] if v.delta_power % 2 == 0 else B._TAU[v.factors[0]]
         a = B.SIMPLE_WORDS[head]
-        assert B.is_equal(a + c.to_word(), v.to_word() + a)
+        assert B.normal_form(a + c.to_word()) == B.normal_form(v.to_word() + a)
         d = O.decycle(v)
         b = B.SIMPLE_WORDS[v.factors[-1]]
-        assert B.is_equal(d.to_word() + b, b + v.to_word())
+        assert B.normal_form(d.to_word() + b) == B.normal_form(b + v.to_word())
 
     @given(words)
     def test_steps_never_worsen(self, w):
@@ -510,4 +508,4 @@ class TestSurgeryTwist:
         # appending the twists is the same element as prepending them
         twisted = B.surgery_twist(w, n)
         prepended = B.surgery_twist((), n) + tuple(w)
-        assert B.is_equal(twisted, prepended)
+        assert B.normal_form(twisted) == B.normal_form(prepended)

@@ -533,6 +533,35 @@ class TestVerifyCommand:
         code, doc = run_json(capsys, ["verify", "--suite", "counts", "--max", "0"])
         assert code == 0 and doc == [] and seen == [("counts", 0)]
 
+    @pytest.mark.parametrize("suite", ["all", "counts", "orientation"])
+    def test_huge_census_bound_refused_at_once(self, suite):
+        # the family set of 10^8 would need tens of GiB
+        argv = ["verify", "--suite", suite, "--max", "100000000"]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue() == (
+            f"error: the counts and orientation suites take a bound up to {verify.MAX_CENSUS_ALPHA}, "
+            "got 100000000\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gofknots", *argv], capture_output=True, text=True, env=module_env(), timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == "" and proc.stderr == err.getvalue()
+
+    @pytest.mark.parametrize("suite", ["all", "counts", "orientation"])
+    def test_census_bound_limit_boundary(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr(verify, "MAX_CENSUS_ALPHA", 20)
+        code, doc = run_json(capsys, ["verify", "--suite", suite, "--max", "20"])
+        assert code == 0 and doc == []
+        assert run(["verify", "--suite", suite, "--max", "21"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the counts and orientation suites take a bound up to 20, got 21\n"
+
     def test_nonempty_violations_exit_1(self, capsys, monkeypatch):
         fake = [verify.Violation("identity", {"p": 1}, 1, 0)]
         monkeypatch.setattr(verify, "verify_inverse_identity", lambda *a, **k: fake)

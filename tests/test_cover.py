@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +12,7 @@ class TestBurau:
     def test_examples(self):
         assert cover.burau_matrix((1, 2, 1)) == cover.Matrix2(0, 1, -1, 0)
         assert cover.burau_matrix((1, 2) * 3) == cover.Matrix2(-1, 0, 0, -1)
-        assert cover.burau_matrix(()) == cover.IDENTITY
+        assert cover.burau_matrix(()) == cover.Matrix2(1, 0, 0, 1)
 
     def test_braid_relation(self):
         assert cover.burau_matrix((1, 2, 1)) == cover.burau_matrix((2, 1, 2))
@@ -25,12 +23,15 @@ class TestBurau:
 
     @given(words, words)
     def test_homomorphism(self, w1, w2):
-        product = cover.burau_matrix(w1).mul(cover.burau_matrix(w2))
-        assert cover.burau_matrix(B.concat(w1, w2)) == product
+        a, b, c, d = cover.burau_matrix(w1)
+        e, f, g, h = cover.burau_matrix(w2)
+        product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        assert cover.burau_matrix(w1 + w2) == product
 
     @given(st.lists(st.sampled_from(B.LETTERS), max_size=60).map(tuple))
     def test_determinant_one(self, w):
-        assert cover.burau_matrix(w).det == 1
+        a, b, c, d = cover.burau_matrix(w)
+        assert a * d - b * c == 1
 
 
 class TestClosureDeterminant:
@@ -90,36 +91,14 @@ class TestHomology:
         ],
     )
     def test_examples(self, word, factors):
-        assert cover.dbc_homology(word).invariant_factors == factors
+        assert cover.dbc_homology(word) == factors
 
     @given(words)
     def test_divisibility_and_order(self, w):
-        h = cover.dbc_homology(w)
-        d1, d2 = h.invariant_factors
+        d1, d2 = cover.dbc_homology(w)
         assert d1 >= 0 and d2 >= 0
         if d1 != 0 and d2 != 0:
             assert d2 % d1 == 0
             assert d1 * d2 == cover.closure_determinant(w)
         else:
             assert cover.closure_determinant(w) == 0
-
-
-class TestLiftSlope:
-    def test_examples(self):
-        assert cover.lift_slope(1, 1) == cover.SlopeSpec(2, 1, 1)
-        assert cover.lift_slope(1, 2) == cover.SlopeSpec(1, 1, 2)
-        assert cover.lift_slope(0, 1) == cover.SlopeSpec(0, 1, 1)
-
-    def test_errors(self):
-        with pytest.raises(cover.InvalidSlopeError):
-            cover.lift_slope(2, 4)
-        with pytest.raises(cover.InvalidSlopeError):
-            cover.lift_slope(1, 0)
-
-    @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=40))
-    def test_result_is_reduced(self, p, q):
-        if math.gcd(abs(p), q) != 1:
-            return
-        spec = cover.lift_slope(p, q)
-        assert math.gcd(abs(spec.numerator), spec.denominator) == 1
-        assert spec.curve_count == (2 if q % 2 == 0 else 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gofknots import braid, classify, cover, twobridge, verify
+from gofknots import braid, classify, twobridge, verify
 from gofknots.classify import FamilyParams
 
 VALUE_TYPES = [
@@ -25,8 +25,6 @@ VALUE_TYPES = [
     classify.AxisReport,
     classify.ClosureId,
     braid.NormalForm,
-    cover.HomologyClass,
-    cover.SlopeSpec,
     verify.VerifyBounds,
     verify.Violation,
 ]

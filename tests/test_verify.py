@@ -144,6 +144,22 @@ class TestRunSuites:
         assert calls["verify_conjugacy_suite"] == ((), {"seed": 7})
         assert calls["verify_burau_witnesses"][1]["seed"] == 7
 
+    @pytest.mark.parametrize("suite", ["all", "counts", "orientation"])
+    def test_a_census_bound_above_the_limit_is_refused(self, calls, suite):
+        limit = verify.MAX_CENSUS_ALPHA
+        with pytest.raises(ValueError, match=f"up to {limit}, got {limit + 1}"):
+            verify.run_suites(suite, limit + 1)
+        assert calls == {}
+        assert verify.run_suites(suite, limit) == []
+        assert calls["verify_counts" if suite != "orientation" else "verify_orientation_uniqueness"][0] == (limit,)
+
+    def test_the_census_limit_leaves_the_grid_suites_alone(self, calls):
+        bound = verify.MAX_CENSUS_ALPHA + 1
+        assert verify.run_suites("identity", bound) == []
+        assert verify.run_suites("burau", bound) == []
+        assert calls["verify_inverse_identity"][0] == (bound,)
+        assert calls["verify_burau_witnesses"][0] == (bound,)
+
     def test_max_zero_suites_pass(self):
         assert verify.run_suites("counts", 0) == []
         assert verify.run_suites("burau", 0) == []
